@@ -1,5 +1,6 @@
 //! Criterion bench: the from-scratch SVM solvers (SMO dual vs Pegasos
-//! primal) at the training-set sizes DISTINCT uses.
+//! primal) at the training-set sizes DISTINCT uses, up to the 2,000 rows
+//! (1,000 + 1,000 pairs) the engine trains on by default.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -22,7 +23,7 @@ fn blobs(n_per: usize, dim: usize, seed: u64) -> Dataset {
 fn bench_svm(c: &mut Criterion) {
     let mut group = c.benchmark_group("svm_train");
     group.sample_size(10);
-    for &n_per in &[100usize, 500] {
+    for &n_per in &[100usize, 500, 1000] {
         let data = blobs(n_per, 19, 7); // 19 = join-path count of the DBLP schema
         group.bench_with_input(
             BenchmarkId::new("smo_linear", n_per * 2),

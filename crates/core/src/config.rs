@@ -120,8 +120,8 @@ impl DistinctConfig {
         if !self.min_sim.is_finite() || self.min_sim < 0.0 {
             return Err("min_sim must be finite and >= 0".into());
         }
-        if self.training.svm_c <= 0.0 {
-            return Err("svm_c must be > 0".into());
+        if !(self.training.svm_c.is_finite() && self.training.svm_c > 0.0) {
+            return Err("svm_c must be finite and > 0".into());
         }
         if self.training.positives == 0 || self.training.negatives == 0 {
             return Err("training set needs both positives and negatives".into());
@@ -162,9 +162,11 @@ mod tests {
         c.min_sim = f64::NAN;
         assert!(c.validate().is_err());
 
-        let mut c = DistinctConfig::default();
-        c.training.svm_c = 0.0;
-        assert!(c.validate().is_err());
+        for svm_c in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut c = DistinctConfig::default();
+            c.training.svm_c = svm_c;
+            assert!(c.validate().is_err(), "svm_c = {svm_c} validated");
+        }
 
         let mut c = DistinctConfig::default();
         c.training.positives = 0;

@@ -8,7 +8,9 @@
 //! so weighted similarities keep the scale the `min-sim` threshold is
 //! calibrated against.
 
+use exec::Executor;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicBool, Ordering};
 use svm::{train_smo_guarded, Dataset, Kernel, LinearModel, PlattScaler, SmoConfig, SvmError};
 
 /// Per-path weights for both similarity measures.
@@ -173,27 +175,62 @@ fn train_one(
 
 /// Learn path weights from the two feature datasets (rows aligned:
 /// resemblance features and walk features of the same training pairs).
+/// The two fits run on the [`Executor::default`] pool.
 pub fn learn_weights(
     resem_data: &Dataset,
     walk_data: &Dataset,
     svm_c: f64,
     seed: u64,
 ) -> Result<LearnedModel, SvmError> {
-    learn_weights_guarded(resem_data, walk_data, svm_c, seed, &mut |_| true)
+    learn_weights_guarded(
+        resem_data,
+        walk_data,
+        svm_c,
+        seed,
+        &Executor::default(),
+        &|_| true,
+    )
 }
 
-/// Like [`learn_weights`], but cooperatively interruptible: `guard` is
-/// charged per SMO optimization pass (see [`svm::train_smo_guarded`]);
-/// tripping it surfaces as [`SvmError::Interrupted`].
+/// Like [`learn_weights`], but on `executor` and cooperatively
+/// interruptible: `guard` is charged per SMO optimization pass (see
+/// [`svm::train_smo_guarded`]); tripping it surfaces as
+/// [`SvmError::Interrupted`].
+///
+/// The resemblance fit and the walk fit are independent, seeded SMO
+/// problems, so they run concurrently, one per worker, and share `guard`:
+/// a limit tripped by either stops both at their next pass. On a
+/// one-thread executor they run inline in that order, and the walk fit is
+/// skipped once the resemblance fit has failed, exactly as a sequential
+/// run does. Either way the model is the same bits, and when both fits
+/// fail the resemblance fit's error is the one returned.
 pub fn learn_weights_guarded(
     resem_data: &Dataset,
     walk_data: &Dataset,
     svm_c: f64,
     seed: u64,
-    guard: &mut dyn FnMut(u64) -> bool,
+    executor: &Executor,
+    guard: &(dyn Fn(u64) -> bool + Sync),
 ) -> Result<LearnedModel, SvmError> {
-    let (resem_model, resem_acc) = train_one(resem_data, svm_c, seed, guard)?;
-    let (walk_model, walk_acc) = train_one(walk_data, svm_c, seed.wrapping_add(1), guard)?;
+    let fits = [(resem_data, seed), (walk_data, seed.wrapping_add(1))];
+    let resem_failed = AtomicBool::new(false);
+    let (results, _) = executor.par_map_guarded(
+        &fits,
+        |i, &(data, seed)| {
+            let fit = train_one(data, svm_c, seed, &mut |units| guard(units));
+            if i == 0 && fit.is_err() {
+                resem_failed.store(true, Ordering::Relaxed);
+            }
+            Some(fit)
+        },
+        || resem_failed.load(Ordering::Relaxed),
+    );
+    // Only the walk fit can be skipped, and only after the resemblance
+    // fit failed, whose error returns first.
+    let mut results = results.into_iter();
+    let skipped = || SvmError::Interrupted { passes_done: 0 };
+    let (resem_model, resem_acc) = results.next().flatten().ok_or_else(skipped)??;
+    let (walk_model, walk_acc) = results.next().flatten().ok_or_else(skipped)??;
     let resem_platt = PlattScaler::fit_model(resem_data, |x| resem_model.decision(x))?;
     let walk_platt = PlattScaler::fit_model(walk_data, |x| walk_model.decision(x))?;
     let weights = PathWeights {
@@ -286,6 +323,82 @@ mod tests {
         let j = serde_json::to_string(&m).unwrap();
         let back: LearnedModel = serde_json::from_str(&j).unwrap();
         assert_eq!(m.weights, back.weights);
+    }
+
+    #[test]
+    fn nan_row_is_refused_before_learning() {
+        // The training path: featurized pairs become the two datasets, and
+        // a non-finite feature is a typed error naming its row and column.
+        let mut features: Vec<crate::training::PairFeatures> = (0..4)
+            .map(|i| crate::training::PairFeatures {
+                resem: vec![0.5, 0.25],
+                walk: vec![0.125, 0.0625],
+                label: if i % 2 == 0 { 1.0 } else { -1.0 },
+            })
+            .collect();
+        features[2].walk[1] = f64::NAN;
+        assert_eq!(
+            assemble_datasets(&features).unwrap_err(),
+            SvmError::NonFiniteFeature { row: 2, col: 1 }
+        );
+        // Nor can a hand-built dataset smuggle one into `learn_weights`:
+        // the row is refused, and what was accepted learns finite weights.
+        let mut d = synthetic(40, 5);
+        let rows = d.len();
+        assert_eq!(
+            d.push(vec![f64::NAN, 0.5, 0.5], 1.0),
+            Err(SvmError::NonFiniteFeature { row: rows, col: 0 })
+        );
+        let m = learn_weights(&d, &d, 1.0, 7).unwrap();
+        assert!(m.resem_model.bias.is_finite() && m.resem_platt.a != 0.0);
+        assert!(m.resem_model.weights.iter().all(|w| w.is_finite()));
+    }
+
+    #[test]
+    fn concurrent_fits_equal_sequential_fits_and_report_the_resem_error_first() {
+        let (resem, walk) = (synthetic(60, 8), synthetic(60, 9));
+        let at = |threads: usize| {
+            learn_weights_guarded(
+                &resem,
+                &walk,
+                1.0,
+                7,
+                &Executor::with_threads(threads),
+                &|_| true,
+            )
+            .unwrap()
+        };
+        let (one, two) = (at(1), at(2));
+        let json = |m: &LearnedModel| serde_json::to_string(m).unwrap();
+        assert_eq!(json(&one), json(&two));
+        // Both fits fail: the resemblance fit's error wins at any count.
+        let mut one_class = Dataset::new();
+        one_class.push(vec![1.0, 0.0, 0.0], 1.0).unwrap();
+        let mut zeros = Dataset::new();
+        zeros.push(vec![0.0, 0.0, 0.0], 1.0).unwrap();
+        zeros.push(vec![0.0, 0.0, 0.0], -1.0).unwrap();
+        for threads in [1, 2] {
+            let err = learn_weights_guarded(
+                &zeros,
+                &one_class,
+                1.0,
+                7,
+                &Executor::with_threads(threads),
+                &|_| true,
+            )
+            .unwrap_err();
+            assert_eq!(
+                err,
+                SvmError::Degenerate("all pair features are zero".into()),
+                "{threads} threads"
+            );
+        }
+        // A guard that refuses every pass interrupts before any pass.
+        let err = learn_weights_guarded(&resem, &walk, 1.0, 7, &Executor::with_threads(2), &|_| {
+            false
+        })
+        .unwrap_err();
+        assert_eq!(err, SvmError::Interrupted { passes_done: 0 });
     }
 
     #[test]

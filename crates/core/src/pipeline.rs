@@ -595,8 +595,9 @@ impl Distinct {
     /// [`DistinctError::Interrupted`] and leaves the previously installed
     /// weights untouched.
     ///
-    /// Profile construction and pair featurization fan out over the
-    /// requested thread count; the learned model is identical for any.
+    /// Profile construction, pair featurization and the two SVM fits fan
+    /// out over the requested thread count; the learned model is
+    /// identical for any.
     pub fn train_with(&mut self, req: &TrainRequest<'_>) -> Result<TrainingReport, DistinctError> {
         let unlimited = RunControl::new();
         let ctl = req.control.unwrap_or(&unlimited);
@@ -650,7 +651,8 @@ impl Distinct {
             &walk_data,
             self.config.training.svm_c,
             self.config.training.seed,
-            &mut ctl.guard(),
+            &executor,
+            &ctl.shared_guard(),
         )
         .map_err(|e| match e {
             SvmError::Interrupted { passes_done } => interrupted(

@@ -14,6 +14,8 @@ pub enum SvmError {
     Degenerate(String),
     /// A hyperparameter was out of range.
     BadParameter { name: &'static str, reason: String },
+    /// A feature value was NaN or infinite.
+    NonFiniteFeature { row: usize, col: usize },
     /// A guard closure stopped the optimizer before convergence.
     Interrupted {
         /// Full optimization passes completed before the stop.
@@ -34,6 +36,9 @@ impl fmt::Display for SvmError {
             SvmError::Degenerate(msg) => write!(f, "degenerate dataset: {msg}"),
             SvmError::BadParameter { name, reason } => {
                 write!(f, "bad parameter `{name}`: {reason}")
+            }
+            SvmError::NonFiniteFeature { row, col } => {
+                write!(f, "feature {col} of row {row} is not finite")
             }
             SvmError::Interrupted { passes_done } => {
                 write!(f, "training interrupted after {passes_done} passes")
@@ -61,10 +66,17 @@ impl Dataset {
         Dataset::default()
     }
 
-    /// Add one labeled sample. Label must be exactly `+1.0` or `-1.0`.
+    /// Add one labeled sample. Label must be exactly `+1.0` or `-1.0`, and
+    /// every feature finite.
     pub fn push(&mut self, x: Vec<f64>, y: f64) -> Result<()> {
         if y != 1.0 && y != -1.0 {
             return Err(SvmError::InvalidLabel(y));
+        }
+        if let Some(col) = x.iter().position(|v| !v.is_finite()) {
+            return Err(SvmError::NonFiniteFeature {
+                row: self.features.len(),
+                col,
+            });
         }
         if self.features.is_empty() {
             self.dim = x.len();
@@ -139,16 +151,6 @@ impl Dataset {
         (pos, self.labels.len() - pos)
     }
 
-    /// A new dataset holding the samples at `indices` (cloned).
-    pub fn subset(&self, indices: &[usize]) -> Dataset {
-        let mut d = Dataset::new();
-        for &i in indices {
-            d.push(self.features[i].clone(), self.labels[i])
-                .expect("subset of valid data"); // distinct-lint: allow(D002, reason="source rows were validated by their own push; a subset cannot introduce a new arity or label")
-        }
-        d
-    }
-
     /// Require at least one sample of each class (solvers need both).
     pub fn require_both_classes(&self) -> Result<()> {
         let (pos, neg) = self.class_counts();
@@ -201,6 +203,28 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_features_rejected_with_their_position() {
+        let mut d = Dataset::new();
+        d.push(vec![1.0, 2.0], 1.0).unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                d.push(vec![0.5, bad], -1.0),
+                Err(SvmError::NonFiniteFeature { row: 1, col: 1 }),
+                "{bad} accepted"
+            );
+        }
+        assert_eq!(d.len(), 1, "a rejected row is not stored");
+        let r = Dataset::from_parts(vec![vec![1.0], vec![f64::NAN]], vec![1.0, -1.0]);
+        assert!(matches!(
+            r,
+            Err(SvmError::NonFiniteFeature { row: 1, col: 0 })
+        ));
+        assert!(SvmError::NonFiniteFeature { row: 3, col: 2 }
+            .to_string()
+            .contains("row 3"));
+    }
+
+    #[test]
     fn dimension_mismatch_rejected() {
         let mut d = Dataset::new();
         d.push(vec![1.0, 2.0], 1.0).unwrap();
@@ -219,16 +243,6 @@ mod tests {
         assert!(matches!(r, Err(SvmError::Degenerate(_))));
         let ok = Dataset::from_parts(vec![vec![1.0], vec![2.0]], vec![1.0, -1.0]).unwrap();
         assert_eq!(ok.len(), 2);
-    }
-
-    #[test]
-    fn subset_preserves_samples() {
-        let d = Dataset::from_parts(vec![vec![1.0], vec![2.0], vec![3.0]], vec![1.0, -1.0, 1.0])
-            .unwrap();
-        let s = d.subset(&[2, 0]);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.x(0), &[3.0]);
-        assert_eq!(s.y(1), 1.0);
     }
 
     #[test]

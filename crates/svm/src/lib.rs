@@ -12,29 +12,20 @@
 //!   as a fast solver and as an independent cross-check of SMO;
 //! * [`LinearModel`] / [`KernelModel`] — decision functions, with dual→
 //!   primal collapse for the linear kernel;
-//! * [`StandardScaler`] — feature standardization with weight unscaling;
-//! * [`PlattScaler`] — probability calibration of decision values;
-//! * [`cross_validate`] / [`select_c`] — deterministic k-fold evaluation
-//!   and hyperparameter grid search.
+//! * [`PlattScaler`] — probability calibration of decision values.
 
 #![warn(missing_docs)]
 
-pub mod cv;
 pub mod data;
-pub mod grid;
 pub mod kernel;
 pub mod model;
 pub mod pegasos;
 pub mod platt;
-pub mod scale;
 pub mod smo;
 
-pub use cv::{cross_validate, kfold_indices, mean};
 pub use data::{dot, Dataset, Result, SvmError};
-pub use grid::{default_c_grid, select_c, GridSearchResult};
 pub use kernel::Kernel;
 pub use model::{KernelModel, LinearModel};
 pub use pegasos::{train_pegasos, PegasosConfig};
 pub use platt::PlattScaler;
-pub use scale::StandardScaler;
 pub use smo::{train_smo, train_smo_guarded, SmoConfig};

@@ -6,6 +6,15 @@
 //! `0 ≤ α_i ≤ C` and `Σ α_i y_i = 0`, by repeatedly optimizing one pair of
 //! multipliers analytically (the "simplified SMO" variant with randomized
 //! second choice, run to KKT convergence).
+//!
+//! The kernel matrix is cached whole, and an error `f(x_m) − y_m` is
+//! summed afresh from row `m` every time it is needed — there is no error
+//! cache, so every error is the same floating-point sum of the same terms
+//! in the same order, whatever happened before. Only the multipliers with
+//! `α_i > 0` contribute a term, so the solver keeps them in an ascending
+//! active list and sweeps that list instead of all `n` multipliers; one
+//! sweep sums the errors of four consecutive rows at once. A pass is
+//! therefore `O(n·|active|)` row work, read contiguously.
 
 use crate::data::{Dataset, Result, SvmError};
 use crate::kernel::Kernel;
@@ -13,10 +22,16 @@ use crate::model::KernelModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Rows whose errors one sweep of the active list computes together. The
+/// block is dropped whenever a pair update changes `α` or `b`, so its
+/// errors always equal the ones a single-row sweep would compute.
+const BLOCK: usize = 4;
+
 /// Hyperparameters for the SMO solver.
 #[derive(Debug, Clone)]
 pub struct SmoConfig {
-    /// Soft-margin penalty (> 0). Larger C fits the training set harder.
+    /// Soft-margin penalty (finite and > 0). Larger C fits the training
+    /// set harder.
     pub c: f64,
     /// KKT violation tolerance.
     pub tol: f64,
@@ -58,30 +73,34 @@ pub fn train_smo(data: &Dataset, kernel: Kernel, cfg: &SmoConfig) -> Result<Kern
 
 /// Like [`train_smo`], but cooperatively interruptible.
 ///
-/// `guard` is called once per full pass over the multipliers with the
-/// number of examples about to be scanned (each scan is `O(n)` kernel-row
-/// work). Returning `false` aborts the optimization with
-/// [`SvmError::Interrupted`] — a half-converged hyperplane is not returned,
-/// because its weights can be arbitrarily far from the optimum and the
-/// caller could not tell.
+/// `guard` is called once per full pass over the multipliers and charged
+/// `n`, the number of examples the pass visits. The pass itself is
+/// `O(n·|active|)` row work, where `|active|` counts the multipliers with
+/// `α_i > 0`; the charge stays `n` so that a budget trips at the same pass
+/// whatever the active set holds. Returning `false` aborts the
+/// optimization with [`SvmError::Interrupted`] — a half-converged
+/// hyperplane is not returned, because its weights can be arbitrarily far
+/// from the optimum and the caller could not tell.
 pub fn train_smo_guarded(
     data: &Dataset,
     kernel: Kernel,
     cfg: &SmoConfig,
     guard: &mut dyn FnMut(u64) -> bool,
 ) -> Result<KernelModel> {
-    if cfg.c <= 0.0 {
+    if !(cfg.c.is_finite() && cfg.c > 0.0) {
         return Err(SvmError::BadParameter {
             name: "c",
-            reason: "must be > 0".into(),
+            reason: format!("must be finite and > 0, got {}", cfg.c),
         });
     }
     data.require_both_classes()?;
     let n = data.len();
+    let y = data.labels();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
     // Cache the kernel matrix: the training sets here are small (the paper
-    // uses 1000+1000 examples), so O(n²) memory is the right trade.
+    // uses 1000+1000 examples), so O(n²) memory is the right trade. Both
+    // triangles hold the same value, so row m is column m bit for bit.
     let mut k = vec![0.0f64; n * n];
     for i in 0..n {
         for j in i..n {
@@ -91,20 +110,37 @@ pub fn train_smo_guarded(
         }
     }
     let kij = |i: usize, j: usize| k[i * n + j];
+    let row = |m: usize| &k[m * n..(m + 1) * n];
+
+    // f(x_m) − y_m: the bias plus `α_i·y_i·K(x_i, x_m)` over the active
+    // list, in ascending `i`, read from kernel row `m`.
+    let err = |active: &[(usize, f64)], b: f64, m: usize| -> f64 {
+        let row = row(m);
+        let mut f = b;
+        for &(i, ay) in active {
+            f += ay * row[i];
+        }
+        f - y[m]
+    };
+    // `err` for rows `lo..lo + BLOCK` in one sweep of the active list: one
+    // accumulator per row, each adding the same terms in the same order.
+    let block_err = |active: &[(usize, f64)], b: f64, lo: usize| -> [f64; BLOCK] {
+        let rows: [&[f64]; BLOCK] = std::array::from_fn(|q| row(lo + q));
+        let mut f = [b; BLOCK];
+        for &(i, ay) in active {
+            for q in 0..BLOCK {
+                f[q] += ay * rows[q][i];
+            }
+        }
+        std::array::from_fn(|q| f[q] - y[lo + q])
+    };
 
     let mut alpha = vec![0.0f64; n];
     let mut b = 0.0f64;
-
-    // f(x_m) − y_m under the current multipliers.
-    let err = |alpha: &[f64], b: f64, m: usize| -> f64 {
-        let mut f = b;
-        for i in 0..n {
-            if alpha[i] > 0.0 {
-                f += alpha[i] * data.y(i) * kij(i, m);
-            }
-        }
-        f - data.y(m)
-    };
+    // `(i, α_i·y_i)` for every `α_i > 0`, ascending in `i`.
+    let mut active: Vec<(usize, f64)> = Vec::with_capacity(n);
+    // Errors of rows `lo..lo + BLOCK` under the current `α` and `b`.
+    let mut block: Option<(usize, [f64; BLOCK])> = None;
 
     let mut passes = 0usize;
     let mut iters = 0usize;
@@ -114,8 +150,18 @@ pub fn train_smo_guarded(
         }
         let mut changed = 0usize;
         for i in 0..n {
-            let ei = err(&alpha, b, i);
-            let yi = data.y(i);
+            let cached = block.and_then(|(lo, errs)| errs.get(i.wrapping_sub(lo)).copied());
+            let ei = match cached {
+                Some(e) => e,
+                None if i + BLOCK <= n => {
+                    let errs = block_err(&active, b, i);
+                    block = Some((i, errs));
+                    let [first, ..] = errs;
+                    first
+                }
+                None => err(&active, b, i),
+            };
+            let yi = y[i];
             let ri = yi * ei;
             if (ri < -cfg.tol && alpha[i] < cfg.c) || (ri > cfg.tol && alpha[i] > 0.0) {
                 // Second multiplier: random j != i.
@@ -123,8 +169,8 @@ pub fn train_smo_guarded(
                 if j >= i {
                     j += 1;
                 }
-                let ej = err(&alpha, b, j);
-                let yj = data.y(j);
+                let ej = err(&active, b, j);
+                let yj = y[j];
                 let (ai_old, aj_old) = (alpha[i], alpha[j]);
                 let (lo, hi) = if yi != yj {
                     (
@@ -154,6 +200,8 @@ pub fn train_smo_guarded(
                 let ai = ai_old + yi * yj * (aj_old - aj);
                 alpha[i] = ai;
                 alpha[j] = aj;
+                set_active(&mut active, i, ai, yi);
+                set_active(&mut active, j, aj, yj);
                 let b1 = b - ei - yi * (ai - ai_old) * kij(i, i) - yj * (aj - aj_old) * kij(i, j);
                 let b2 = b - ej - yi * (ai - ai_old) * kij(i, j) - yj * (aj - aj_old) * kij(j, j);
                 b = if ai > 0.0 && ai < cfg.c {
@@ -163,6 +211,7 @@ pub fn train_smo_guarded(
                 } else {
                     0.5 * (b1 + b2)
                 };
+                block = None;
                 changed += 1;
             }
         }
@@ -198,10 +247,162 @@ pub fn train_smo_guarded(
     })
 }
 
+/// Record multiplier `i`'s new value `a` in the active list: present with
+/// coefficient `a·y_i` exactly when `a > 0`.
+fn set_active(active: &mut Vec<(usize, f64)>, i: usize, a: f64, yi: f64) {
+    match (active.binary_search_by_key(&i, |&(m, _)| m), a > 0.0) {
+        (Ok(p), true) => active[p].1 = a * yi,
+        (Ok(p), false) => {
+            active.remove(p);
+        }
+        (Err(p), true) => active.insert(p, (i, a * yi)),
+        (Err(_), false) => {}
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::Rng;
+
+    /// The solver as it was before the active list and the blocked error
+    /// sums, its code kept verbatim as the oracle the current one must
+    /// match bit for bit: it scans all `n` multipliers per error and reads
+    /// the kernel matrix by column.
+    fn reference_smo(
+        data: &Dataset,
+        kernel: Kernel,
+        cfg: &SmoConfig,
+        guard: &mut dyn FnMut(u64) -> bool,
+    ) -> Result<KernelModel> {
+        if cfg.c <= 0.0 {
+            return Err(SvmError::BadParameter {
+                name: "c",
+                reason: "must be > 0".into(),
+            });
+        }
+        data.require_both_classes()?;
+        let n = data.len();
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+
+        // Cache the kernel matrix: the training sets here are small (the paper
+        // uses 1000+1000 examples), so O(n²) memory is the right trade.
+        let mut k = vec![0.0f64; n * n];
+        for i in 0..n {
+            for j in i..n {
+                let v = kernel.eval(data.x(i), data.x(j));
+                k[i * n + j] = v;
+                k[j * n + i] = v;
+            }
+        }
+        let kij = |i: usize, j: usize| k[i * n + j];
+
+        let mut alpha = vec![0.0f64; n];
+        let mut b = 0.0f64;
+
+        // f(x_m) − y_m under the current multipliers.
+        let err = |alpha: &[f64], b: f64, m: usize| -> f64 {
+            let mut f = b;
+            for i in 0..n {
+                if alpha[i] > 0.0 {
+                    f += alpha[i] * data.y(i) * kij(i, m);
+                }
+            }
+            f - data.y(m)
+        };
+
+        let mut passes = 0usize;
+        let mut iters = 0usize;
+        while passes < cfg.max_passes && iters < cfg.max_iters {
+            if !guard(n as u64) {
+                return Err(SvmError::Interrupted { passes_done: iters });
+            }
+            let mut changed = 0usize;
+            for i in 0..n {
+                let ei = err(&alpha, b, i);
+                let yi = data.y(i);
+                let ri = yi * ei;
+                if (ri < -cfg.tol && alpha[i] < cfg.c) || (ri > cfg.tol && alpha[i] > 0.0) {
+                    // Second multiplier: random j != i.
+                    let mut j = rng.gen_range(0..n - 1);
+                    if j >= i {
+                        j += 1;
+                    }
+                    let ej = err(&alpha, b, j);
+                    let yj = data.y(j);
+                    let (ai_old, aj_old) = (alpha[i], alpha[j]);
+                    let (lo, hi) = if yi != yj {
+                        (
+                            (aj_old - ai_old).max(0.0),
+                            (cfg.c + aj_old - ai_old).min(cfg.c),
+                        )
+                    } else {
+                        (
+                            (ai_old + aj_old - cfg.c).max(0.0),
+                            (ai_old + aj_old).min(cfg.c),
+                        )
+                    };
+                    // Degenerate (or floating-point-inverted) box: nothing to
+                    // optimize for this pair.
+                    if hi - lo < 1e-12 {
+                        continue;
+                    }
+                    let eta = 2.0 * kij(i, j) - kij(i, i) - kij(j, j);
+                    if eta >= 0.0 {
+                        continue;
+                    }
+                    let mut aj = aj_old - yj * (ei - ej) / eta;
+                    aj = aj.clamp(lo, hi);
+                    if (aj - aj_old).abs() < 1e-5 {
+                        continue;
+                    }
+                    let ai = ai_old + yi * yj * (aj_old - aj);
+                    alpha[i] = ai;
+                    alpha[j] = aj;
+                    let b1 =
+                        b - ei - yi * (ai - ai_old) * kij(i, i) - yj * (aj - aj_old) * kij(i, j);
+                    let b2 =
+                        b - ej - yi * (ai - ai_old) * kij(i, j) - yj * (aj - aj_old) * kij(j, j);
+                    b = if ai > 0.0 && ai < cfg.c {
+                        b1
+                    } else if aj > 0.0 && aj < cfg.c {
+                        b2
+                    } else {
+                        0.5 * (b1 + b2)
+                    };
+                    changed += 1;
+                }
+            }
+            if changed == 0 {
+                passes += 1;
+            } else {
+                passes = 0;
+            }
+            iters += 1;
+        }
+
+        // Keep only support vectors.
+        let kept = alpha.iter().filter(|&&a| a > 1e-12).count();
+        let mut svs = Vec::with_capacity(kept);
+        let mut coefs = Vec::with_capacity(kept);
+        for i in 0..n {
+            if alpha[i] > 1e-12 {
+                svs.push(data.x(i).to_vec());
+                coefs.push(alpha[i] * data.y(i));
+            }
+        }
+        if svs.is_empty() {
+            return Err(SvmError::Degenerate(
+                "SMO produced no support vectors".into(),
+            ));
+        }
+        Ok(KernelModel {
+            kernel,
+            support_vectors: svs,
+            coefficients: coefs,
+            bias: b,
+        })
+    }
 
     /// Linearly separable 2-D blobs.
     fn blobs(n_per: usize, seed: u64) -> Dataset {
@@ -334,17 +535,36 @@ mod tests {
     #[test]
     fn bad_c_rejected() {
         let d = blobs(5, 5);
-        assert!(matches!(
-            train_smo(
-                &d,
-                Kernel::Linear,
-                &SmoConfig {
-                    c: 0.0,
-                    ..Default::default()
-                }
-            ),
-            Err(SvmError::BadParameter { .. })
-        ));
+        for c in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(
+                    train_smo(
+                        &d,
+                        Kernel::Linear,
+                        &SmoConfig {
+                            c,
+                            ..Default::default()
+                        }
+                    ),
+                    Err(SvmError::BadParameter { name: "c", .. })
+                ),
+                "c = {c} accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn nan_row_is_refused_before_it_reaches_the_solver() {
+        let mut d = blobs(10, 5);
+        let rows = d.len();
+        assert_eq!(
+            d.push(vec![f64::NAN, 1.0], 1.0),
+            Err(SvmError::NonFiniteFeature { row: rows, col: 0 })
+        );
+        assert_eq!(d.len(), rows);
+        let m = train_smo(&d, Kernel::Linear, &SmoConfig::default()).unwrap();
+        assert!(m.bias.is_finite());
+        assert!(m.coefficients.iter().all(|c| c.is_finite()));
     }
 
     #[test]
@@ -445,8 +665,118 @@ mod tests {
             })
         }
 
+        /// A random training problem: 2–300 rows of 1–19 dimensions with
+        /// both classes (rows 0 and 1 fix one of each), mostly separated by
+        /// a random direction with some labels flipped, one of the three
+        /// kernels, and `c` in [0.1, 5].
+        fn arbitrary_problem() -> impl Strategy<Value = (Dataset, Kernel, f64)> {
+            (
+                2usize..301,
+                1usize..20,
+                any::<u64>(),
+                0usize..3,
+                0.1f64..5.0,
+            )
+                .prop_map(|(rows, dim, seed, kernel, c)| {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let dir: Vec<f64> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                    let mut d = Dataset::new();
+                    for r in 0..rows {
+                        let x: Vec<f64> = (0..dim).map(|_| rng.gen_range(-3.0..3.0)).collect();
+                        let side = crate::data::dot(&dir, &x) >= 0.0;
+                        let label = match r {
+                            0 => true,
+                            1 => false,
+                            _ => side != rng.gen_bool(0.1),
+                        };
+                        d.push(x, if label { 1.0 } else { -1.0 }).unwrap();
+                    }
+                    let kernel = match kernel {
+                        0 => Kernel::Linear,
+                        1 => Kernel::Polynomial {
+                            degree: rng.gen_range(1..4),
+                            gamma: rng.gen_range(0.05..0.5),
+                            coef0: rng.gen_range(0.0..1.0),
+                        },
+                        _ => Kernel::Rbf {
+                            gamma: rng.gen_range(0.01..1.0),
+                        },
+                    };
+                    (d, kernel, c)
+                })
+        }
+
+        /// Exact equality of two solver results: the same error, or the
+        /// same kernel, support vectors, coefficients and bias down to the
+        /// last bit.
+        fn same_bits(a: &Result<KernelModel>, b: &Result<KernelModel>) -> bool {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            match (a, b) {
+                (Ok(a), Ok(b)) => {
+                    a.kernel == b.kernel
+                        && a.bias.to_bits() == b.bias.to_bits()
+                        && bits(&a.coefficients) == bits(&b.coefficients)
+                        && a.support_vectors.len() == b.support_vectors.len()
+                        && a.support_vectors
+                            .iter()
+                            .zip(&b.support_vectors)
+                            .all(|(x, z)| bits(x) == bits(z))
+                }
+                (Err(a), Err(b)) => a == b,
+                _ => false,
+            }
+        }
+
         proptest! {
-            #![proptest_config(ProptestConfig::with_cases(32))]
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn solver_is_bit_identical_to_the_reference(
+                (d, kernel, c) in arbitrary_problem(),
+                seed in any::<u64>(),
+            ) {
+                let cfg = SmoConfig { c, seed, ..Default::default() };
+                let (mut fast_units, mut ref_units) = (0u64, 0u64);
+                let fast = train_smo_guarded(&d, kernel, &cfg, &mut |u| {
+                    fast_units += u;
+                    true
+                });
+                let reference = reference_smo(&d, kernel, &cfg, &mut |u| {
+                    ref_units += u;
+                    true
+                });
+                prop_assert!(
+                    same_bits(&fast, &reference),
+                    "{} rows, {:?}, c = {c}: {:?} vs {:?}",
+                    d.len(),
+                    kernel,
+                    fast.as_ref().map(|m| m.bias),
+                    reference.as_ref().map(|m| m.bias)
+                );
+                prop_assert_eq!(fast_units, ref_units);
+            }
+
+            #[test]
+            fn interruption_at_pass_k_matches_the_reference(
+                (d, kernel, c) in arbitrary_problem(),
+                k in 0usize..8,
+            ) {
+                let cfg = SmoConfig { c, ..Default::default() };
+                let trip_at = |k: usize| {
+                    let mut calls = 0usize;
+                    move |_: u64| {
+                        calls += 1;
+                        calls <= k
+                    }
+                };
+                let fast = train_smo_guarded(&d, kernel, &cfg, &mut trip_at(k));
+                let reference = reference_smo(&d, kernel, &cfg, &mut trip_at(k));
+                prop_assert!(same_bits(&fast, &reference), "k = {k}: {:?} vs {:?}",
+                    fast.as_ref().err(), reference.as_ref().err());
+                if let Err(SvmError::Interrupted { passes_done }) = fast {
+                    prop_assert_eq!(passes_done, k);
+                }
+            }
 
             #[test]
             fn smo_invariants_hold_on_arbitrary_data(

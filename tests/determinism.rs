@@ -5,7 +5,8 @@
 
 use datagen::{to_catalog, AmbiguousSpec, World, WorldConfig};
 use distinct::{
-    Distinct, DistinctConfig, ResolveRequest, RunControl, Stage, TrainRequest, TrainingConfig,
+    Distinct, DistinctConfig, LearnedModel, ResolveRequest, RunControl, Stage, TrainRequest,
+    TrainingConfig,
 };
 
 fn dataset() -> datagen::DblpDataset {
@@ -29,6 +30,144 @@ fn engine(d: &datagen::DblpDataset) -> Distinct {
     Distinct::prepare(&d.catalog, "Publish", "author", config).unwrap()
 }
 
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Every number a learned model holds, as bits: both hyperplanes (weights,
+/// then bias), both Platt scalers, the clamped path weights and the two
+/// training accuracies.
+fn learned_bits(m: &LearnedModel) -> Vec<u64> {
+    [
+        &m.resem_model.weights[..],
+        &[m.resem_model.bias],
+        &m.walk_model.weights,
+        &[m.walk_model.bias],
+        &[m.resem_platt.a, m.resem_platt.b],
+        &[m.walk_platt.a, m.walk_platt.b],
+        &m.weights.resem,
+        &m.weights.walk,
+        &[m.resem_train_accuracy, m.walk_train_accuracy],
+    ]
+    .iter()
+    .flat_map(|part| bits(part))
+    .collect()
+}
+
+// The learned model of the tiny(7) world below (80 + 80 training pairs),
+// as `f64::to_bits`, recorded with the plain scalar solver that
+// `crates/svm` keeps as its test oracle (`reference_smo`). Any change to
+// SVM training that moves a single bit fails here.
+const RESEM_WEIGHTS: [u64; 19] = [
+    0x0000000000000000,
+    0x0000000000000000,
+    0xbf3684af7951b800,
+    0x0000000000000000,
+    0x0000000000000000,
+    0x3ff002aa007beac8,
+    0x3f4787355f6bc800,
+    0xbf2103b7a2c15000,
+    0xbf3684af7951b800,
+    0x4007004a5708abd0,
+    0xbf3684af7951b800,
+    0x0000000000000000,
+    0xbf48e0dffcd87000,
+    0x3ff002aa007beac8,
+    0x3f4787355f6bc800,
+    0xbf2103b7a2c15000,
+    0xbf3684af7951b800,
+    0xbf3684af7951b800,
+    0x4007004a5708abcd,
+];
+const RESEM_BIAS: u64 = 0xbff0000000000000;
+const WALK_WEIGHTS: [u64; 19] = [
+    0x0000000000000000,
+    0x0000000000000000,
+    0x3ffb237432147267,
+    0x0000000000000000,
+    0x0000000000000000,
+    0x40332400823b60f7,
+    0x4009a6621b341b7c,
+    0xbcf7924924924923,
+    0x3ffb237432147267,
+    0x404d243fd7fc4099,
+    0x3ffb237432147267,
+    0x0000000000000000,
+    0x400fd99f8b4fc7ca,
+    0x40332400823b60f9,
+    0x4009a6621b341b82,
+    0xbcf1249249249248,
+    0x3ffb237432147267,
+    0x3ffb237432147278,
+    0x404d243fd7fc4099,
+];
+const WALK_BIAS: u64 = 0xbff0000000000000;
+const RESEM_PLATT: [u64; 2] = [0xbff10f54b8338361, 0xbfcea2c0585555c2];
+const WALK_PLATT: [u64; 2] = [0xc00639ffe64cb8aa, 0xc00051a2a907b523];
+const PATH_WEIGHTS_RESEM: [u64; 19] = [
+    0x0000000000000000,
+    0x0000000000000000,
+    0x0000000000000000,
+    0x0000000000000000,
+    0x0000000000000000,
+    0x3fc0853b132f45e6,
+    0x3f1847155336d96e,
+    0x0000000000000000,
+    0x0000000000000000,
+    0x3fd7bbde051329a2,
+    0x0000000000000000,
+    0x0000000000000000,
+    0x0000000000000000,
+    0x3fc0853b132f45e6,
+    0x3f1847155336d96e,
+    0x0000000000000000,
+    0x0000000000000000,
+    0x0000000000000000,
+    0x3fd7bbde0513299f,
+];
+const PATH_WEIGHTS_WALK: [u64; 19] = [
+    0x0000000000000000,
+    0x0000000000000000,
+    0x3f83fef199b061a6,
+    0x0000000000000000,
+    0x0000000000000000,
+    0x3fbc34ba284446df,
+    0x3f92e62ae89d9206,
+    0x0000000000000000,
+    0x3f83fef199b061a6,
+    0x3fd578c6a05b5b3d,
+    0x3f83fef199b061a6,
+    0x0000000000000000,
+    0x3f9777a8e0fe4929,
+    0x3fbc34ba284446e2,
+    0x3f92e62ae89d920b,
+    0x0000000000000000,
+    0x3f83fef199b061a6,
+    0x3f83fef199b061b3,
+    0x3fd578c6a05b5b3d,
+];
+const TRAIN_ACCURACY: [u64; 2] = [0x3fe799999999999a, 0x3fe5666666666666];
+
+#[test]
+fn learned_model_matches_the_pinned_bits() {
+    let d = dataset();
+    let mut e = engine(&d);
+    e.train().unwrap();
+    let m = e.learned().expect("trained");
+    assert_eq!(bits(&m.resem_model.weights), RESEM_WEIGHTS);
+    assert_eq!(m.resem_model.bias.to_bits(), RESEM_BIAS);
+    assert_eq!(bits(&m.walk_model.weights), WALK_WEIGHTS);
+    assert_eq!(m.walk_model.bias.to_bits(), WALK_BIAS);
+    assert_eq!(bits(&[m.resem_platt.a, m.resem_platt.b]), RESEM_PLATT);
+    assert_eq!(bits(&[m.walk_platt.a, m.walk_platt.b]), WALK_PLATT);
+    assert_eq!(bits(&m.weights.resem), PATH_WEIGHTS_RESEM);
+    assert_eq!(bits(&m.weights.walk), PATH_WEIGHTS_WALK);
+    assert_eq!(
+        bits(&[m.resem_train_accuracy, m.walk_train_accuracy]),
+        TRAIN_ACCURACY
+    );
+}
+
 #[test]
 fn training_and_resolution_are_identical_at_1_2_and_8_threads() {
     let d = dataset();
@@ -42,12 +181,19 @@ fn training_and_resolution_are_identical_at_1_2_and_8_threads() {
     let ref_outcome = reference.resolve(&ResolveRequest::new(&refs).threads(1));
     assert!(ref_outcome.is_complete());
 
+    let ref_model = learned_bits(reference.learned().expect("trained"));
+
     for threads in [2, 8] {
         let mut e = engine(&d);
         let report = e.train_with(&TrainRequest::new().threads(threads)).unwrap();
         assert_eq!(
             report.path_weights, ref_report.path_weights,
             "learned weights differ at {threads} threads"
+        );
+        assert_eq!(
+            learned_bits(e.learned().expect("trained")),
+            ref_model,
+            "learned model differs at {threads} threads"
         );
         assert_eq!(report.resem_accuracy, ref_report.resem_accuracy);
         assert_eq!(report.walk_accuracy, ref_report.walk_accuracy);
