@@ -19,7 +19,6 @@ use crate::engine::Clustering;
 pub fn connected_components(n: usize, adjacent: &dyn Fn(usize, usize) -> bool) -> Vec<Vec<usize>> {
     let mut parent: Vec<usize> = (0..n).collect();
     fn find(parent: &mut [usize], mut x: usize) -> usize {
-        // distinct-lint: allow(D104, reason="path-halving union-find walk, amortized near-constant and bounded by the forest depth")
         while parent[x] != x {
             parent[x] = parent[parent[x]];
             x = parent[x];

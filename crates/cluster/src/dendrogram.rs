@@ -68,14 +68,12 @@ impl Dendrogram {
         let total = self.n + self.merges.len();
         let mut parent: Vec<usize> = (0..total).collect();
         fn find(parent: &mut [usize], mut x: usize) -> usize {
-            // distinct-lint: allow(D104, reason="path-halving union-find walk, amortized near-constant and bounded by the forest depth")
             while parent[x] != x {
                 parent[x] = parent[parent[x]];
                 x = parent[x];
             }
             x
         }
-        // distinct-lint: allow(D104, reason="post-clustering relabel over merges already charged pairwise by the engine; O(n) with no I/O")
         for m in &self.merges {
             if m.similarity >= threshold {
                 let ra = find(&mut parent, m.a);

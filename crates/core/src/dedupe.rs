@@ -5,10 +5,12 @@
 //! relation that assigns every reference a global entity id, splitting
 //! each shared name into as many entities as the linkage evidence
 //! supports. Names are independent (references with different names can
-//! never corefer in this problem setting), so the pass is a per-name
-//! clustering loop with consolidated bookkeeping.
+//! never corefer in this problem setting), so the pass fans the names out
+//! as independent work items and commits their clusterings in order.
 
+use crate::control::RunControl;
 use crate::pipeline::Distinct;
+use crate::request::ResolveRequest;
 use relstore::{FxHashMap, TupleRef, Value};
 use serde::{Deserialize, Serialize};
 
@@ -22,8 +24,9 @@ pub struct DedupeOptions {
     /// Skip names with more references than this (safety valve: pairwise
     /// profile comparison is quadratic per name).
     pub max_refs_per_name: usize,
-    /// Worker threads for the profile-precomputation phase (0 or 1 runs
-    /// serially; results are identical either way).
+    /// Worker threads for the per-name fan-out: each clusterable name is
+    /// one work item (0 or 1 resolves the names in order on the calling
+    /// thread; results are identical either way).
     pub threads: usize,
 }
 
@@ -55,7 +58,9 @@ pub struct EntityAssignment {
     entity_of: FxHashMap<TupleRef, usize>,
     /// Per-name resolution summaries, in processing order.
     pub resolutions: Vec<NameResolution>,
-    /// Names skipped because they exceeded `max_refs_per_name`.
+    /// Names skipped because they exceeded `max_refs_per_name` (or,
+    /// never under the pass's own unlimited control, because a tripped
+    /// control refused their work item).
     pub skipped: Vec<String>,
     next_entity: usize,
 }
@@ -95,15 +100,22 @@ impl EntityAssignment {
 
 impl Distinct {
     /// Resolve every name in the reference relation, producing a global
-    /// [`EntityAssignment`]. Deterministic: names are processed in the
+    /// [`EntityAssignment`]. Deterministic: names are committed in the
     /// order of their first appearance in the relation.
+    ///
+    /// Each clusterable name is one work item on a pool of
+    /// [`DedupeOptions::threads`] workers: one [`Distinct::resolve`] at
+    /// `.threads(1)`, charged per name against the pass's
+    /// [`RunControl`]. Names share the engine's profile cache and arena
+    /// pool, and every resolve is a pure function of its references, so
+    /// the assignment is identical at any thread count.
     pub fn resolve_all(&self, opts: &DedupeOptions) -> EntityAssignment {
         // Collect references per name in first-appearance order.
         let rel = self.catalog().relation(self.paths().start);
         let attr = self.ref_attr_index();
+        // distinct-lint: allow(D110, reason="one entry per distinct name, grown once by the single grouping scan; the names are the pass's work list, so there is nothing to reuse")
         let mut order: Vec<Value> = Vec::new();
         let mut by_name: FxHashMap<Value, Vec<TupleRef>> = FxHashMap::default();
-        // distinct-lint: allow(D104, reason="single grouping scan over the reference relation; per-name budget charging starts in the resolve stage below, which dominates")
         for (tid, t) in rel.iter() {
             let v = t.get(attr);
             if v.is_null() {
@@ -116,54 +128,63 @@ impl Distinct {
             entry.push(TupleRef::new(self.paths().start, tid));
         }
 
-        // Warm the profile cache for every reference that will be
-        // clustered, optionally in parallel.
-        if opts.threads > 1 {
-            let clusterable: Vec<TupleRef> = order
-                .iter()
-                .filter(|name| {
-                    let n = by_name[*name].len();
-                    n >= opts.min_refs_to_cluster && n <= opts.max_refs_per_name
+        let clusterable: Vec<&[TupleRef]> = order
+            .iter()
+            .map(|name| by_name[name].as_slice())
+            .filter(|refs| {
+                refs.len() >= opts.min_refs_to_cluster && refs.len() <= opts.max_refs_per_name
+            })
+            .collect();
+        let executor = if opts.threads <= 1 {
+            exec::Executor::sequential()
+        } else {
+            exec::Executor::with_threads(opts.threads)
+        };
+        let ctl = RunControl::new();
+        let guard = ctl.shared_guard();
+        let (resolved, _) = executor.par_map_guarded(
+            &clusterable,
+            |_, refs| {
+                guard(refs.len() as u64).then(|| {
+                    let clustering = self
+                        .resolve(&ResolveRequest::new(refs).threads(1))
+                        .clustering;
+                    (clustering.cluster_count(), clustering.labels)
                 })
-                .flat_map(|name| by_name[name].iter().copied())
-                .collect();
-            self.precompute_profiles(&clusterable, opts.threads);
-        }
+            },
+            || ctl.status().is_some(),
+        );
+        let mut resolved = resolved.into_iter();
 
         let mut assignment = EntityAssignment::default();
         for name in order {
             let refs = &by_name[&name];
+            // distinct-lint: allow(D110, reason="each name's display string moves into the assignment (a resolution or a skipped entry)")
             let display = name.to_string();
             if refs.len() > opts.max_refs_per_name {
                 assignment.skipped.push(display);
                 continue;
             }
-            if refs.len() < opts.min_refs_to_cluster {
-                let e = assignment.next_entity;
-                assignment.next_entity += 1;
-                for &r in refs {
-                    assignment.entity_of.insert(r, e);
-                }
-                assignment.resolutions.push(NameResolution {
-                    name: display,
-                    refs: refs.len(),
-                    entities: 1,
-                });
-                continue;
-            }
-            let clustering = self
-                .resolve(&crate::request::ResolveRequest::new(refs).threads(opts.threads))
-                .clustering;
-            let k = clustering.cluster_count();
             let base = assignment.next_entity;
-            assignment.next_entity += k;
-            for (&r, &label) in refs.iter().zip(&clustering.labels) {
-                assignment.entity_of.insert(r, base + label);
-            }
+            let entities = if refs.len() < opts.min_refs_to_cluster {
+                for &r in refs {
+                    assignment.entity_of.insert(r, base);
+                }
+                1
+            } else if let Some((k, labels)) = resolved.next().flatten() {
+                for (&r, &label) in refs.iter().zip(&labels) {
+                    assignment.entity_of.insert(r, base + label);
+                }
+                k
+            } else {
+                assignment.skipped.push(display);
+                continue;
+            };
+            assignment.next_entity += entities;
             assignment.resolutions.push(NameResolution {
                 name: display,
                 refs: refs.len(),
-                entities: k,
+                entities,
             });
         }
         assignment
@@ -267,17 +288,91 @@ mod tests {
         assert_eq!(a.groups(), b.groups());
     }
 
+    /// Every observable field of an assignment: each reference's entity
+    /// (in relation order), the resolutions in order, the skipped names
+    /// and the entity count.
+    #[allow(clippy::type_complexity)]
+    fn fields(
+        a: &EntityAssignment,
+        d: &datagen::DblpDataset,
+    ) -> (
+        Vec<Option<usize>>,
+        Vec<(String, usize, usize)>,
+        Vec<String>,
+        usize,
+    ) {
+        let entities = d
+            .catalog
+            .relation(d.publish)
+            .iter()
+            .map(|(tid, _)| a.entity(TupleRef::new(d.publish, tid)))
+            .collect();
+        let resolutions = a
+            .resolutions
+            .iter()
+            .map(|r| (r.name.clone(), r.refs, r.entities))
+            .collect();
+        (entities, resolutions, a.skipped.clone(), a.entity_count())
+    }
+
     #[test]
-    fn parallel_precompute_matches_serial() {
-        let (engine, _) = engine_and_truth();
-        let serial = engine.resolve_all(&DedupeOptions::default());
-        // A fresh engine with a cold cache, warmed by 4 threads.
-        let (engine2, _) = engine_and_truth();
-        let parallel = engine2.resolve_all(&DedupeOptions {
-            threads: 4,
+    fn name_fan_out_is_identical_at_1_2_and_8_threads() {
+        const MAX: usize = 20;
+        let opts = |threads| DedupeOptions {
+            max_refs_per_name: MAX,
+            threads,
             ..Default::default()
+        };
+        let (engine, d) = engine_and_truth();
+        let serial = engine.resolve_all(&opts(1));
+
+        // Names in first-appearance order: a skipped one must sit between
+        // clustered ones, so the in-order commit has a gap to respect.
+        let mut names: Vec<String> = Vec::new();
+        let mut refs_of: FxHashMap<String, Vec<TupleRef>> = FxHashMap::default();
+        for (tid, _) in d.catalog.relation(d.publish).iter() {
+            let r = TupleRef::new(d.publish, tid);
+            let refs = refs_of
+                .entry(d.catalog.value(r, 0).to_string())
+                .or_default();
+            if refs.is_empty() {
+                names.push(d.catalog.value(r, 0).to_string());
+            }
+            refs.push(r);
+        }
+        let clustered = |name: &String| (2..=MAX).contains(&refs_of[name].len());
+        let skip_between_clustered = (0..names.len()).any(|g| {
+            serial.skipped.contains(&names[g])
+                && names[..g].iter().any(clustered)
+                && names[g + 1..].iter().any(clustered)
         });
-        assert_eq!(serial.entity_count(), parallel.entity_count());
-        assert_eq!(serial.groups(), parallel.groups());
+        assert!(
+            skip_between_clustered,
+            "no skipped name between clustered ones"
+        );
+
+        // The pass equals an independent per-name replay, committed in
+        // first-appearance order.
+        let mut next = 0;
+        for name in &names {
+            let refs = &refs_of[name];
+            if refs.len() > MAX {
+                continue;
+            }
+            let clustering = engine.resolve(&ResolveRequest::new(refs)).clustering;
+            for (&r, &label) in refs.iter().zip(&clustering.labels) {
+                assert_eq!(serial.entity(r), Some(next + label), "{name}");
+            }
+            next += clustering.cluster_count();
+        }
+        assert_eq!(serial.entity_count(), next);
+        let over: Vec<&String> = names.iter().filter(|n| refs_of[*n].len() > MAX).collect();
+        assert_eq!(serial.skipped.iter().collect::<Vec<_>>(), over);
+
+        for threads in [1, 2, 8] {
+            let (fresh, _) = engine_and_truth();
+            let got = fresh.resolve_all(&opts(threads));
+            assert_eq!(fields(&got, &d), fields(&serial, &d), "threads = {threads}");
+        }
     }
 }

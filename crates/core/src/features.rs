@@ -13,7 +13,7 @@
 //! contribute a large constant resemblance along the coauthor path.
 
 use crate::paths::PathSet;
-use relgraph::{directed_walk, LinkGraph, Propagation, Resemblance, WeightedSet};
+use relgraph::{directed_walk, LinkGraph, Propagation, WeightedSet};
 use relstore::{Catalog, TupleRef};
 
 /// Per-path propagation results for one reference.
@@ -109,19 +109,11 @@ pub fn empty_profile(paths: &PathSet, reference: TupleRef) -> Profile {
 /// exact kernel — the canonical reference the pruned engine must match
 /// bit for bit.
 pub fn resemblance_features(a: &Profile, b: &Profile) -> Vec<f64> {
-    resemblance_features_with(&Resemblance::Exact, a, b)
-}
-
-/// Per-path set resemblance under an explicit [`Resemblance`] kernel.
-/// Every kernel computes the same function (losslessness contract), so
-/// this exists for pair-at-a-time callers that want the sketch pre-check;
-/// the similarity stage batches the pruned path through arenas instead.
-pub fn resemblance_features_with(kernel: &Resemblance, a: &Profile, b: &Profile) -> Vec<f64> {
     debug_assert_eq!(a.path_count(), b.path_count());
     a.sets
         .iter()
         .zip(&b.sets)
-        .map(|(x, y)| kernel.weighted(x, y))
+        .map(|(x, y)| x.resemblance(y))
         .collect()
 }
 
@@ -278,19 +270,6 @@ mod tests {
             mean(&same),
             mean(&diff)
         );
-    }
-
-    #[test]
-    fn kernel_selection_is_invisible_in_the_features() {
-        let f = fixture();
-        let a = build_profile(&f.graph, &f.catalog, &f.paths, f.truth_refs[0]);
-        let b = build_profile(&f.graph, &f.catalog, &f.paths, f.truth_refs[3]);
-        let exact = resemblance_features_with(&Resemblance::Exact, &a, &b);
-        let pruned = resemblance_features_with(&Resemblance::default(), &a, &b);
-        assert_eq!(exact, resemblance_features(&a, &b));
-        for (x, y) in exact.iter().zip(&pruned) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub use control::{
 pub use dedupe::{DedupeOptions, EntityAssignment, NameResolution};
 pub use features::{
     build_profile, build_profile_guarded, directed_walk_features, empty_profile,
-    resemblance_features, resemblance_features_with, walk_features, weighted_sum, Profile,
+    resemblance_features, walk_features, weighted_sum, Profile,
 };
 pub use learn::{
     assemble_datasets, learn_weights, learn_weights_guarded, LearnedModel, PathWeights,
@@ -76,7 +76,7 @@ pub use paths::PathSet;
 pub use pipeline::{Degraded, Distinct, DistinctError, ResolveOutcome, TrainingReport};
 pub use probe::StageProbe;
 pub use refcluster::{DistinctMerger, PairCounters};
-pub use relgraph::{ConfigError, Resemblance, SketchConfig};
+pub use relgraph::Resemblance;
 pub use report::{render_name_dot, render_name_report};
 pub use request::{ExecReport, ResolveRequest, StageStats, TrainRequest};
 pub use runmgr::{DurableOutcome, RunOptions, RunReport, UpdateStreamOutcome, RUN_FORMAT_VERSION};

@@ -17,7 +17,7 @@ use crate::config::{CompositeMode, MeasureMode};
 use crate::features::{directed_walk_features, resemblance_features, weighted_sum, Profile};
 use crate::learn::PathWeights;
 use cluster::Merger;
-use relgraph::{ArenaPool, Resemblance, SetArena};
+use relgraph::{ArenaPool, IntersectionMatrix, Resemblance, SetArena, WeightedSet};
 use relstore::FxHashMap;
 use std::borrow::Borrow;
 use std::ops::Range;
@@ -54,18 +54,18 @@ pub struct PairCounters {
 type ChunkValues = (Vec<(f64, f64, f64)>, u64);
 
 /// Per-path kernel memos of the pruned similarity build: interned row
-/// assignments plus the *nonzero* kernel values, computed once per
-/// distinct row pair. A missing memo entry is a proof that the kernel
+/// assignments, the support-overlap matrix, and the *nonzero* kernel
+/// values, computed once per distinct row pair. A pair the matrix shows
+/// disjoint (and so a missing memo entry) is a proof that the kernel
 /// value is exactly zero.
 struct PathKernels {
     /// Distinct forward-set row of each reference.
     row_f: Vec<u32>,
     /// Distinct backward-set row of each reference.
     row_b: Vec<u32>,
-    /// Per distinct row: is the row empty? (Decides the zero's sign for
-    /// walk misses: `directed_walk`'s `Sum` folds from `-0.0`, which only
-    /// survives when the iterated support is empty.)
-    row_empty: Vec<bool>,
+    /// Which distinct rows share a member; its diagonal marks the
+    /// non-empty rows.
+    overlap: IntersectionMatrix,
     /// Resemblance per normalized `(min, max)` forward-row pair.
     resem: FxHashMap<(u32, u32), f64>,
     /// Walk dot product per normalized `(min, max)` row pair (the dot is
@@ -76,25 +76,35 @@ struct PathKernels {
 }
 
 impl PathKernels {
+    /// A memo lookup, skipped when the overlap matrix already proves the
+    /// rows disjoint (most pairs: one bit test instead of a hash probe).
+    fn memo(&self, memo: &FxHashMap<(u32, u32), f64>, a: u32, b: u32) -> Option<f64> {
+        if !self.overlap.intersects(a, b) {
+            return None;
+        }
+        memo.get(&(a.min(b), a.max(b))).copied()
+    }
+
     fn resem_at(&self, i: usize, j: usize) -> Option<f64> {
-        let (a, b) = (self.row_f[i], self.row_f[j]);
-        self.resem.get(&(a.min(b), a.max(b))).copied()
+        self.memo(&self.resem, self.row_f[i], self.row_f[j])
     }
 
     /// Walk dot `i → j` (forward row of `i` against backward row of `j`).
     fn dot_at(&self, i: usize, j: usize) -> Option<f64> {
-        let (a, b) = (self.row_f[i], self.row_b[j]);
-        self.dot.get(&(a.min(b), a.max(b))).copied()
+        self.memo(&self.dot, self.row_f[i], self.row_b[j])
     }
 
     /// The exact kernel's zero for a pruned `i → j` walk: `-0.0` when
     /// either side's support is empty, `+0.0` when both are non-empty but
-    /// provably disjoint — bit-identical to what `directed_walk` returns.
+    /// provably disjoint — bit-identical to what `directed_walk` returns
+    /// (its `Sum` folds from `-0.0`, which only survives when the
+    /// iterated support is empty).
     fn zero_walk(&self, i: usize, j: usize) -> f64 {
-        if self.row_empty[self.row_f[i] as usize] || self.row_empty[self.row_b[j] as usize] {
-            -0.0
-        } else {
+        let (a, b) = (self.row_f[i], self.row_b[j]);
+        if self.overlap.intersects(a, a) && self.overlap.intersects(b, b) {
             0.0
+        } else {
+            -0.0
         }
     }
 }
@@ -147,9 +157,9 @@ impl DistinctMerger {
     ///   space out in chunks and runs every merge-join kernel directly;
     /// * [`Resemblance::Pruned`] first builds, per join path, a columnar
     ///   [`SetArena`] over all forward and backward sets (deduplicating
-    ///   content-identical rows), sketches and an exact support-overlap
-    ///   matrix over the distinct rows, and evaluates only the kernels
-    ///   not *proven* exactly zero — then assembles the same
+    ///   content-identical rows) and an exact support-overlap matrix over
+    ///   the distinct rows, and evaluates only the kernels not *proven*
+    ///   exactly zero — then assembles the same
     ///   upper-triangle chunks from memo lookups, where a missing entry
     ///   is a proof the exact kernel returns zero. Only provably-zero
     ///   work is skipped, so the tables (and every downstream merge) are
@@ -213,11 +223,11 @@ impl DistinctMerger {
         // path computes kernels inline during assembly.
         let (kernels, prep_stats) = match kernel {
             Resemblance::Exact => (None, exec::ParStats::default()),
-            Resemblance::Pruned { sketch } => {
+            Resemblance::Pruned => {
                 let path_idx: Vec<usize> = (0..n_paths).collect();
                 let (built, stats) = executor.par_map_guarded(
                     &path_idx,
-                    |_, &k| build_path_kernels(profiles, k, sketch, guard, &tripped, pool),
+                    |_, &k| build_path_kernels(profiles, k, guard, &tripped, pool),
                     || tripped.load(Ordering::Relaxed),
                 );
                 if built.iter().any(Option::is_none) {
@@ -244,6 +254,11 @@ impl DistinctMerger {
                     return None;
                 }
                 let mut exact_units = 0u64;
+                // The pruned path's per-path feature buffers, allocated
+                // once per chunk and overwritten for every pair.
+                let mut feats = vec![0.0f64; 3 * n_paths];
+                let (r_feats, walk_feats) = feats.split_at_mut(n_paths);
+                let (dij_feats, dji_feats) = walk_feats.split_at_mut(n_paths);
                 let vals = range
                     .map(|k| {
                         let (i, j) = exec::triangle_pair(n, k);
@@ -259,9 +274,6 @@ impl DistinctMerger {
                                 (r, dij, dji)
                             }
                             Some(kernels) => {
-                                let mut r_feats = vec![0.0f64; n_paths];
-                                let mut dij_feats = vec![0.0f64; n_paths];
-                                let mut dji_feats = vec![0.0f64; n_paths];
                                 for (p, pk) in kernels.iter().enumerate() {
                                     let mut hit = false;
                                     r_feats[p] =
@@ -278,9 +290,9 @@ impl DistinctMerger {
                                         exact_units += 1;
                                     }
                                 }
-                                let r = weighted_sum(&r_feats, &weights.resem);
-                                let dij = weighted_sum(&dij_feats, &weights.walk);
-                                let dji = weighted_sum(&dji_feats, &weights.walk);
+                                let r = weighted_sum(r_feats, &weights.resem);
+                                let dij = weighted_sum(dij_feats, &weights.walk);
+                                let dji = weighted_sum(dji_feats, &weights.walk);
                                 (r, dij, dji)
                             }
                         }
@@ -408,12 +420,12 @@ impl DistinctMerger {
 }
 
 /// Build the kernel memos for one join path: intern all forward and
-/// backward sets into a columnar [`SetArena`], prove most distinct row
-/// pairs exactly zero (sketch tier first, then the exact support-overlap
-/// matrix), and run the merge-join kernels only for the survivors.
+/// backward rows into a columnar [`SetArena`], read the candidate row
+/// pairs off the exact support-overlap matrix (every other pair is
+/// provably zero), and run the merge-join kernels only for those.
 ///
-/// `guard` is charged once with the interned set count (the arena /
-/// sketch / overlap build) and once with the surviving kernel count.
+/// `guard` is charged once with the interned set count (the arena and
+/// overlap build) and once with the surviving kernel count.
 ///
 /// The arena is taken from `pool` and rebuilt in place (bit-identical
 /// to a fresh [`SetArena::build`]); it returns to the pool on every
@@ -421,7 +433,6 @@ impl DistinctMerger {
 fn build_path_kernels<P: Borrow<Profile>>(
     profiles: &[P],
     k: usize,
-    sketch: &relgraph::SketchConfig,
     guard: &(dyn Fn(u64) -> bool + Sync),
     tripped: &AtomicBool,
     pool: &ArenaPool,
@@ -431,70 +442,45 @@ fn build_path_kernels<P: Borrow<Profile>>(
         tripped.store(true, Ordering::Relaxed);
         return None;
     }
-    let bwd: Vec<relgraph::WeightedSet> = profiles
-        .iter()
-        .map(|p| p.borrow().props[k].backward_set())
-        .collect();
     let mut arena: SetArena = pool.take();
-    arena.rebuild(
-        profiles
-            .iter()
-            .map(|p| &p.borrow().sets[k])
-            .chain(bwd.iter()),
-    );
-    let sketches = arena.sketches(sketch);
+    rebuild_path_arena(&mut arena, profiles, k);
     let overlap = arena.intersections();
     let row_f: Vec<u32> = (0..n).map(|i| arena.row_of(i)).collect();
     let row_b: Vec<u32> = (0..n).map(|i| arena.row_of(n + i)).collect();
-    let row_empty: Vec<bool> = sketches.iter().map(|s| s.is_empty()).collect();
 
-    // Distinct forward rows (ascending), remembering which are realized
-    // by at least two references — only those can produce a same-row
-    // (r, r) resemblance lookup from an i ≠ j pair.
-    let mut used_f: Vec<u32> = row_f.clone();
-    used_f.sort_unstable();
-    let mut uniq_f: Vec<(u32, bool)> = Vec::with_capacity(used_f.len());
-    for &r in &used_f {
-        match uniq_f.last_mut() {
-            Some((p, twice)) if *p == r => *twice = true,
-            _ => uniq_f.push((r, false)),
-        }
+    // Each distinct row's roles: a forward row, a forward row of at least
+    // two references (only those produce a same-row (r, r) resemblance
+    // lookup from an i ≠ j pair), a backward row.
+    const FWD: u8 = 1;
+    const FWD_TWICE: u8 = 2;
+    const BWD: u8 = 4;
+    let mut role = vec![0u8; arena.rows()];
+    for &r in &row_f {
+        let x = &mut role[r as usize];
+        *x |= if *x & FWD != 0 { FWD_TWICE } else { FWD };
     }
-    let mut used_b: Vec<u32> = row_b.clone();
-    used_b.sort_unstable();
-    used_b.dedup();
+    for &r in &row_b {
+        role[r as usize] |= BWD;
+    }
 
-    // Candidate row pairs, normalized (min, max). The dot candidates are
-    // the cross product of distinct forward × backward rows — a handful
-    // of combos only realized by i == j ride along harmlessly.
-    let mut resem_cands: Vec<(u32, u32)> =
-        Vec::with_capacity(uniq_f.len() * (uniq_f.len() + 1) / 2);
-    for (x, &(a, twice)) in uniq_f.iter().enumerate() {
-        if twice {
-            resem_cands.push((a, a));
-        }
-        for &(b, _) in &uniq_f[x + 1..] {
+    // Candidate row pairs, normalized (min, max), read off the overlap
+    // matrix — the one zero certificate. Two rows with no shared member
+    // have exactly zero kernels and are never listed; a shared member
+    // with positive weights makes the kernel nonzero, so every listed
+    // pair runs. Dot candidates pair a forward row with a backward row
+    // (either way round); a few combos only realized by i == j ride
+    // along harmlessly.
+    let mut resem_cands: Vec<(u32, u32)> = Vec::new();
+    let mut dot_cands: Vec<(u32, u32)> = Vec::new();
+    overlap.for_each_upper(|a, b| {
+        let (ra, rb) = (role[a as usize], role[b as usize]);
+        if ra & FWD != 0 && rb & FWD != 0 && (a != b || ra & FWD_TWICE != 0) {
             resem_cands.push((a, b));
         }
-    }
-    let mut dot_cands: Vec<(u32, u32)> = Vec::with_capacity(uniq_f.len() * used_b.len());
-    for &(a, _) in &uniq_f {
-        for &b in &used_b {
-            dot_cands.push((a.min(b), a.max(b)));
+        if (ra & FWD != 0 && rb & BWD != 0) || (ra & BWD != 0 && rb & FWD != 0) {
+            dot_cands.push((a, b));
         }
-    }
-    dot_cands.sort_unstable();
-    dot_cands.dedup();
-
-    // Zero certificates: the sketch bound prunes first (cheap, sound),
-    // the exact overlap matrix catches everything a saturated mask
-    // missed — together they are complete, so a surviving pair has a
-    // provably nonzero kernel and a skipped pair a provably zero one.
-    let survives = |&(a, b): &(u32, u32)| {
-        sketches[a as usize].upper_bound(&sketches[b as usize]) != 0.0 && overlap.intersects(a, b)
-    };
-    let resem_cands: Vec<(u32, u32)> = resem_cands.into_iter().filter(|c| survives(c)).collect();
-    let dot_cands: Vec<(u32, u32)> = dot_cands.into_iter().filter(|c| survives(c)).collect();
+    });
     if !guard((resem_cands.len() + dot_cands.len()) as u64) {
         tripped.store(true, Ordering::Relaxed);
         pool.put(arena);
@@ -508,15 +494,57 @@ fn build_path_kernels<P: Borrow<Profile>>(
     for (a, b) in dot_cands {
         dot.insert((a, b), arena.dot_rows(a, b));
     }
+    let interned = arena.rows() as u64;
     pool.put(arena);
     Some(PathKernels {
         row_f,
         row_b,
-        row_empty,
+        overlap,
         resem,
         dot,
-        interned: sketches.len() as u64,
+        interned,
     })
+}
+
+/// Rebuild `arena` over join path `k`'s rows: every reference's forward
+/// set, then every reference's backward map.
+///
+/// A backward row is streamed off the forward set's ascending support by
+/// looking each node up in the backward map — the two maps share their
+/// key sets ([`relgraph::Propagation`]), so this yields exactly the
+/// sorted [`relgraph::Propagation::backward_set`] without cloning or
+/// sorting a map. When `WeightedSet` dropped a non-positive forward
+/// weight the supports differ (`sets[k].len() != backward.len()`), and
+/// that reference falls back to `backward_set()`.
+fn rebuild_path_arena<P: Borrow<Profile>>(arena: &mut SetArena, profiles: &[P], k: usize) {
+    let n = profiles.len();
+    let fallback: Vec<(usize, WeightedSet)> = profiles
+        .iter()
+        .map(Borrow::borrow)
+        .enumerate()
+        .filter(|(_, p)| p.sets[k].len() != p.props[k].backward.len())
+        .map(|(i, p)| (i, p.props[k].backward_set()))
+        .collect();
+    arena.rebuild_rows((0..2 * n).map(|x| {
+        let p = profiles[x % n].borrow();
+        let (set, lookup) = if x < n {
+            (&p.sets[k], None)
+        } else {
+            match fallback.binary_search_by_key(&(x - n), |&(i, _)| i) {
+                Ok(f) => (&fallback[f].1, None),
+                Err(_) => (&p.sets[k], Some(&p.props[k].backward)),
+            }
+        };
+        set.iter().filter_map(move |(node, w)| match lookup {
+            None => Some((node, w)),
+            // `backward_set` keeps positive weights only; so does this.
+            Some(backward) => backward
+                .get(&node)
+                .copied()
+                .filter(|&b| b > 0.0)
+                .map(|b| (node, b)),
+        })
+    }));
 }
 
 impl Merger for DistinctMerger {
@@ -811,6 +839,90 @@ mod tests {
         // clique (clique 0 has 4 members now): C(4,2) + C(3,2) + C(3,2) = 12.
         assert_eq!(counters.exact, 12);
         assert!(counters.pruned > counters.exact);
+    }
+
+    /// A one-path profile whose forward and backward maps share the keys
+    /// of `entries` (`node, forward weight, backward weight`; a later
+    /// entry for the same node wins, as with any map insert).
+    fn two_map_profile(idx: u32, entries: &[(u32, f64, f64)]) -> Profile {
+        let mut forward: FxHashMap<NodeId, f64> = FxHashMap::default();
+        let mut backward: FxHashMap<NodeId, f64> = FxHashMap::default();
+        for &(n, f, b) in entries {
+            forward.insert(NodeId(n), f);
+            backward.insert(NodeId(n), b);
+        }
+        Profile {
+            reference: TupleRef::new(RelId(0), TupleId(idx)),
+            sets: vec![WeightedSet::from_map(forward.clone())],
+            props: vec![Propagation { forward, backward }],
+            placeholder: false,
+        }
+    }
+
+    proptest::proptest! {
+        // The streamed path arena interns exactly what `SetArena::build`
+        // does over the forward sets and the sorted `backward_set()`s.
+        // Weights are quarter steps, so rows repeat often; `dup` appends a
+        // copy of one reference; empty rows occur; forward weights ≤ 0
+        // (dropped by `WeightedSet`) force the `backward_set()` fallback;
+        // zero backward weights are dropped on both sides.
+        #[test]
+        fn streamed_path_arena_matches_build_over_backward_sets(
+            refs in proptest::collection::vec(
+                proptest::collection::vec((0u32..10, -1i32..4, 0i32..4), 0..6),
+                1..10,
+            ),
+            dup in 0usize..10,
+        ) {
+            let mut profiles: Vec<Profile> = refs
+                .iter()
+                .enumerate()
+                .map(|(i, entries)| {
+                    let entries: Vec<(u32, f64, f64)> = entries
+                        .iter()
+                        .map(|&(n, f, b)| (n, 0.25 * f64::from(f), 0.25 * f64::from(b)))
+                        .collect();
+                    two_map_profile(i as u32, &entries)
+                })
+                .collect();
+            profiles.push(profiles[dup % profiles.len()].clone());
+            let mut streamed = SetArena::empty();
+            rebuild_path_arena(&mut streamed, &profiles, 0);
+            let backward: Vec<WeightedSet> =
+                profiles.iter().map(|p| p.props[0].backward_set()).collect();
+            let built = SetArena::build(profiles.iter().map(|p| &p.sets[0]).chain(&backward));
+            proptest::prop_assert_eq!(streamed, built);
+        }
+    }
+
+    #[test]
+    fn streamed_path_arena_covers_duplicates_empties_and_the_fallback() {
+        let profiles = vec![
+            two_map_profile(0, &[(1, 0.5, 0.25), (3, 0.5, 0.75)]),
+            two_map_profile(1, &[]),
+            two_map_profile(2, &[(1, 0.5, 0.25), (3, 0.5, 0.75)]),
+            // A non-positive forward weight: the forward set drops node 2
+            // but the backward map keeps it, so this row falls back.
+            two_map_profile(3, &[(2, 0.0, 0.5), (4, 1.0, 0.5)]),
+        ];
+        assert_ne!(
+            profiles[3].sets[0].len(),
+            profiles[3].props[0].backward.len()
+        );
+        let mut streamed = SetArena::empty();
+        rebuild_path_arena(&mut streamed, &profiles, 0);
+        let backward: Vec<WeightedSet> =
+            profiles.iter().map(|p| p.props[0].backward_set()).collect();
+        let built = SetArena::build(profiles.iter().map(|p| &p.sets[0]).chain(&backward));
+        assert_eq!(streamed, built);
+        assert_eq!(streamed.row_of(0), streamed.row_of(2));
+        // An empty row's total is the empty sum, `-0.0`.
+        assert_eq!(
+            streamed.total(streamed.row_of(1)).to_bits(),
+            (-0.0f64).to_bits()
+        );
+        // The fallback row carries node 2's backward weight.
+        assert_eq!(streamed.total(streamed.row_of(4 + 3)), 1.0);
     }
 
     #[test]

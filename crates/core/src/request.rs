@@ -16,7 +16,7 @@
 //! ```
 
 use crate::control::RunControl;
-use relgraph::{ConfigError, Resemblance};
+use relgraph::Resemblance;
 use relstore::TupleRef;
 use std::path::Path;
 use std::time::Duration;
@@ -75,7 +75,7 @@ pub struct ExecReport {
     /// `pairs × paths` whenever the similarity stage ran to completion.
     pub pairs_total: u64,
     /// Kernel units the pruned engine skipped because every kernel value
-    /// was provably exactly zero (sketch or support-overlap certificate).
+    /// was provably exactly zero (support-overlap certificate).
     /// Always `0` under [`relgraph::Resemblance::Exact`]. Invariant:
     /// `pairs_pruned + pairs_exact == pairs_total`.
     pub pairs_pruned: u64,
@@ -220,22 +220,17 @@ impl<'a> ResolveRequest<'a> {
     }
 
     /// Select the similarity kernel for this run. The default is
-    /// [`Resemblance::Pruned`] with lossless settings — bit-identical
-    /// results to [`Resemblance::Exact`], which stays one call away:
+    /// [`Resemblance::Pruned`] — bit-identical results to
+    /// [`Resemblance::Exact`], which stays one call away:
     ///
     /// ```text
-    /// let req = ResolveRequest::new(&refs)
-    ///     .similarity(Resemblance::Exact)?;                 // reference path
-    /// let req = ResolveRequest::new(&refs)
-    ///     .similarity(Resemblance::Pruned { sketch })?;     // custom sketch
+    /// let req = ResolveRequest::new(&refs).similarity(Resemblance::Exact);
     /// ```
     ///
-    /// Invalid sketch parameters surface here as typed
-    /// [`ConfigError`]s instead of panicking mid-resolve.
-    pub fn similarity(mut self, kernel: Resemblance) -> Result<Self, ConfigError> {
-        kernel.validate()?;
+    /// Neither kernel has parameters, so there is nothing to validate.
+    pub fn similarity(mut self, kernel: Resemblance) -> Self {
         self.resemblance = kernel;
-        Ok(self)
+        self
     }
 
     /// The similarity kernel this request will run with.
@@ -319,29 +314,16 @@ mod tests {
         assert!(bare.min_sim.is_none());
         assert!(bare.threads.is_none());
         // The fast path is the default path.
-        assert!(matches!(
-            bare.similarity_kernel(),
-            Resemblance::Pruned { .. }
-        ));
+        assert_eq!(bare.similarity_kernel(), Resemblance::Pruned);
     }
 
     #[test]
-    fn similarity_builder_validates_the_kernel() {
-        use relgraph::SketchConfig;
+    fn similarity_builder_selects_the_kernel() {
         let refs = vec![TupleRef::new(RelId(0), TupleId(0))];
-        let req = ResolveRequest::new(&refs)
-            .similarity(Resemblance::Exact)
-            .expect("Exact always validates");
+        let req = ResolveRequest::new(&refs).similarity(Resemblance::Exact);
         assert_eq!(req.similarity_kernel(), Resemblance::Exact);
-        let err = ResolveRequest::new(&refs)
-            .similarity(Resemblance::Pruned {
-                sketch: SketchConfig {
-                    prefix_len: 0,
-                    minhash_bits: 9,
-                },
-            })
-            .unwrap_err();
-        assert_eq!(err, ConfigError::PrefixLen { got: 0 });
+        let req = req.similarity(Resemblance::Pruned);
+        assert_eq!(req.similarity_kernel(), Resemblance::Pruned);
     }
 
     #[test]

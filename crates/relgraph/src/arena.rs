@@ -1,15 +1,18 @@
 //! Columnar kernel arena: interned, flattened weighted sets.
 //!
-//! [`SetArena::build`] takes the weighted sets of one similarity stage
-//! (e.g. all forward and backward maps of one join path) and re-encodes
-//! them for the pairwise kernels:
+//! [`SetArena::rebuild_rows`] takes the weighted rows of one similarity
+//! stage (e.g. all forward and backward maps of one join path), streamed
+//! as ascending `(NodeId, weight)` iterators, and re-encodes them for the
+//! pairwise kernels:
 //!
-//! * **row dedup** — content-identical sets share one *distinct row*
+//! * **row dedup** — content-identical rows share one *distinct row*
 //!   ([`SetArena::row_of`] maps input index → row). Same-context
 //!   references (e.g. same-year references on a deterministic
 //!   single-fanout path) produce literally identical sets, so one kernel
 //!   evaluation per distinct row pair serves every reference pair that
-//!   realizes it;
+//!   realizes it. Each row is written straight into the columns and cut
+//!   off again when a content-equal row already exists, found through a
+//!   hash head and an intrusive chain — no per-row or per-bucket buffer;
 //! * **id interning** — every [`NodeId`] appearing in any row is mapped
 //!   to a dense `u32` by ascending node id. The mapping is
 //!   order-preserving, so ascending interned order *is* ascending node
@@ -29,14 +32,15 @@
 //! f64 multiplication is commutative bitwise.
 //!
 //! [`SetArena::intersections`] precomputes the exact support-overlap
-//! matrix over distinct rows from per-id posting lists, giving the
-//! pruned similarity engine its second (complete) zero certificate after
-//! the sketch tier.
+//! matrix over distinct rows from CSR posting lists (one buffer: count,
+//! prefix sum, fill) — the pruned similarity engine's zero certificate.
 
 use crate::graph::NodeId;
-use crate::sketch::{Sketch, SketchConfig};
 use crate::WeightedSet;
 use relstore::FxHashMap;
+
+/// End of an intrusive dedup chain.
+const NONE: u32 = u32::MAX;
 
 /// SplitMix64 step used to combine content hashes for row/posting dedup.
 /// Purely an in-process bucketing aid; equality is always confirmed by an
@@ -46,6 +50,13 @@ fn mix(key: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// One multiply-rotate step (the FxHash combine) folding a member into a
+/// row's content hash; [`mix`] finishes the row. Cheap per member, and
+/// like `mix` only a bucketing aid.
+fn fold(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
 }
 
 /// A flat, deduplicated, interned arena of weighted sets (module docs).
@@ -62,14 +73,19 @@ pub struct SetArena {
     /// Per-row total mass, accumulated left-to-right (bit-identical to
     /// the source set's `total()`).
     totals: Vec<f64>,
-    /// Number of distinct interned ids.
-    universe: u32,
+    /// The interning table: sorted distinct node ids (dense id → node).
+    nodes: Vec<u32>,
+    /// Build scratch: content hash → newest distinct row with that hash.
+    heads: FxHashMap<u64, u32>,
+    /// Build scratch: per distinct row, the previous distinct row with
+    /// the same content hash ([`NONE`] ends the chain).
+    chain: Vec<u32>,
 }
 
 impl SetArena {
     /// An arena over zero sets, holding no heap capacity. The unit
     /// [`ArenaPool::take`] hands out when the pool is dry; feed it to
-    /// [`SetArena::rebuild`] before use.
+    /// [`SetArena::rebuild_rows`] before use.
     pub fn empty() -> SetArena {
         SetArena {
             row_of: Vec::new(),
@@ -77,7 +93,9 @@ impl SetArena {
             ids: Vec::new(),
             weights: Vec::new(),
             totals: Vec::new(),
-            universe: 0,
+            nodes: Vec::new(),
+            heads: FxHashMap::default(),
+            chain: Vec::new(),
         }
     }
 
@@ -85,84 +103,95 @@ impl SetArena {
     /// set in this iteration is its input index for [`SetArena::row_of`]).
     pub fn build<'a>(sets: impl IntoIterator<Item = &'a WeightedSet>) -> SetArena {
         let mut arena = Self::empty();
-        arena.rebuild(sets);
+        arena.rebuild_rows(sets.into_iter().map(WeightedSet::iter));
         arena
     }
 
-    /// Rebuild this arena in place over a new set sequence, reusing the
-    /// column capacity left by the previous build. The result is
-    /// field-for-field identical to `SetArena::build(sets)` — same
-    /// algorithm, same first-appearance row numbering, same
-    /// left-to-right total accumulation — capacity is the only thing
-    /// that survives; no content does. This is the reuse seam the
-    /// resolve spine's pooled arenas go through (lint D112).
-    pub fn rebuild<'a>(&mut self, sets: impl IntoIterator<Item = &'a WeightedSet>) {
+    /// Rebuild this arena in place over a new row sequence, reusing the
+    /// capacity left by the previous build. Each row is an iterator of
+    /// `(node, weight)` pairs in strictly ascending node order — the
+    /// shape of [`WeightedSet::iter`]. The result is a pure function of
+    /// the rows' contents: distinct rows are numbered in first-appearance
+    /// order and totals accumulate left to right, so it is field for
+    /// field identical to `SetArena::build` over the same sets. Capacity
+    /// is the only thing that survives; no content does. This is the
+    /// reuse seam the resolve spine's pooled arenas go through (lint
+    /// D112).
+    pub fn rebuild_rows<R>(&mut self, rows: R)
+    where
+        R: IntoIterator,
+        R::Item: IntoIterator<Item = (NodeId, f64)>,
+    {
         self.row_of.clear();
         self.offsets.clear();
         self.ids.clear();
         self.weights.clear();
         self.totals.clear();
-        let sets: Vec<&WeightedSet> = sets.into_iter().collect();
-        // Row dedup: bucket by content hash, confirm by exact comparison.
-        // Distinct rows are numbered in first-appearance order, so the
-        // arena is a pure function of the input sequence.
-        let mut buckets: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        let mut distinct: Vec<&WeightedSet> = Vec::new();
-        self.row_of.reserve(sets.len());
-        for set in &sets {
-            let mut h = 0xcbf2_9ce4_8422_2325u64 ^ set.len() as u64;
-            for (NodeId(n), w) in set.iter() {
-                h = mix(h ^ u64::from(n));
-                h = mix(h ^ w.to_bits());
-            }
-            let bucket = buckets.entry(h).or_default();
-            let row = bucket
-                .iter()
-                .copied()
-                .find(|&r| {
-                    let d = distinct[r as usize];
-                    d.len() == set.len()
-                        && d.iter()
-                            .zip(set.iter())
-                            .all(|((n1, w1), (n2, w2))| n1 == n2 && w1.to_bits() == w2.to_bits())
-                })
-                .unwrap_or_else(|| {
-                    let r = distinct.len() as u32;
-                    distinct.push(set);
-                    bucket.push(r);
-                    r
-                });
-            self.row_of.push(row);
-        }
-        // Intern: dense ids assigned by ascending NodeId, so ascending
-        // interned order within a row is ascending node order.
-        let mut universe: Vec<u32> = distinct
-            .iter()
-            .flat_map(|s| s.iter().map(|(NodeId(n), _)| n))
-            .collect();
-        universe.sort_unstable();
-        universe.dedup();
-        self.offsets.reserve(distinct.len() + 1);
-        self.totals.reserve(distinct.len());
+        self.heads.clear();
+        self.chain.clear();
         self.offsets.push(0u32);
-        for set in &distinct {
+        for row in rows {
+            let lo = self.ids.len();
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
             // `-0.0` is std's `Sum<f64>` identity, so starting there makes
             // the accumulated total bit-identical to `WeightedSet::total()`
             // even for empty rows (where the sum *is* `-0.0`).
             let mut total = -0.0f64;
-            for (NodeId(n), w) in set.iter() {
-                let dense = universe
-                    .binary_search(&n)
-                    // distinct-lint: allow(D002, D101, reason="universe is the sorted dedup of exactly the ids iterated here (collected one loop above from the same sets), so the search always succeeds")
-                    .expect("every row id was collected into the universe");
-                self.ids.push(dense as u32);
+            for (NodeId(n), w) in row {
+                debug_assert!(
+                    self.ids.len() == lo || self.ids[self.ids.len() - 1] < n,
+                    "row not in strictly ascending node order"
+                );
+                self.ids.push(n);
                 self.weights.push(w);
+                h = fold(fold(h, u64::from(n)), w.to_bits());
                 total += w;
             }
-            self.offsets.push(self.ids.len() as u32);
-            self.totals.push(total);
+            let r = self.dedup_tail(lo, mix(h ^ (self.ids.len() - lo) as u64), total);
+            self.row_of.push(r);
         }
-        self.universe = universe.len() as u32;
+        // Intern: dense ids assigned by ascending NodeId, so ascending
+        // interned order within a row is ascending node order.
+        self.nodes.clear();
+        self.nodes.extend_from_slice(&self.ids);
+        self.nodes.sort_unstable();
+        self.nodes.dedup();
+        for id in &mut self.ids {
+            // Every id is in `nodes` (collected from `ids` just above), so
+            // the search always lands on `Ok`.
+            let (Ok(dense) | Err(dense)) = self.nodes.binary_search(id);
+            *id = dense as u32;
+        }
+    }
+
+    /// Settle the row just written at `ids[lo..]` (content hash `h`,
+    /// total `total`): when a content-equal distinct row exists, cut the
+    /// new copy off the columns and return that row; otherwise keep it
+    /// as the next distinct row.
+    fn dedup_tail(&mut self, lo: usize, h: u64, total: f64) -> u32 {
+        let hi = self.ids.len();
+        let head = self.heads.get(&h).copied().unwrap_or(NONE);
+        let mut cand = head;
+        while cand != NONE {
+            let (ci, cw) = self.row(cand);
+            if ci == &self.ids[lo..hi]
+                && cw
+                    .iter()
+                    .zip(&self.weights[lo..hi])
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+            {
+                self.ids.truncate(lo);
+                self.weights.truncate(lo);
+                return cand;
+            }
+            cand = self.chain[cand as usize];
+        }
+        let r = self.totals.len() as u32;
+        self.offsets.push(hi as u32);
+        self.totals.push(total);
+        self.chain.push(head);
+        self.heads.insert(h, r);
+        r
     }
 
     /// Distinct row holding input set `i`.
@@ -182,7 +211,12 @@ impl SetArena {
 
     /// Number of distinct interned member ids.
     pub fn universe(&self) -> u32 {
-        self.universe
+        self.nodes.len() as u32
+    }
+
+    /// True when distinct row `r` has no members.
+    fn is_empty_row(&self, r: u32) -> bool {
+        self.offsets[r as usize] == self.offsets[r as usize + 1]
     }
 
     /// The `(interned id, weight)` column slice of one distinct row.
@@ -263,32 +297,32 @@ impl SetArena {
         sum
     }
 
-    /// Sketch every distinct row under `config` (interned ids as keys).
-    pub fn sketches(&self, config: &SketchConfig) -> Vec<Sketch> {
-        (0..self.rows() as u32)
-            .map(|r| {
-                let (ids, weights) = self.row(r);
-                Sketch::build(
-                    ids.iter().zip(weights).map(|(&n, &w)| (u64::from(n), w)),
-                    config,
-                )
-            })
-            .collect()
-    }
-
-    /// Exact support-overlap matrix over distinct rows, from per-id
-    /// posting lists. Posting lists are deduplicated by content first:
-    /// ids sharing the same set of rows (common when rows share long
-    /// runs) are marked once instead of once per id.
+    /// Exact support-overlap matrix over distinct rows, from CSR posting
+    /// lists: one count per interned id, a prefix sum, then one fill pass
+    /// into a single buffer. Posting lists are deduplicated by content
+    /// first: ids sharing the same set of rows (common when rows share
+    /// long runs) are marked once instead of once per id.
     pub fn intersections(&self) -> IntersectionMatrix {
         let d = self.rows();
-        let mut postings: Vec<Vec<u32>> = vec![Vec::new(); self.universe as usize];
-        for r in 0..d as u32 {
-            let (ids, _) = self.row(r);
-            for &n in ids {
-                // Rows are visited in ascending order, so postings come
-                // out sorted — content hashes below are canonical.
-                postings[n as usize].push(r);
+        // `start[n]` counts the rows holding id `n`, then (inclusive
+        // prefix sum) ends its posting; the fill walks rows in descending order and
+        // pre-decrements, so afterwards `start[n]..start[n + 1]` is id
+        // `n`'s posting in ascending row order — content hashes below
+        // are canonical.
+        let mut start = vec![0u32; self.nodes.len() + 1];
+        for &n in &self.ids {
+            start[n as usize] += 1;
+        }
+        let mut acc = 0u32;
+        for s in &mut start {
+            acc += *s;
+            *s = acc;
+        }
+        let mut postings = vec![0u32; self.ids.len()];
+        for r in (0..d as u32).rev() {
+            for &n in self.row(r).0 {
+                start[n as usize] -= 1;
+                postings[start[n as usize] as usize] = r;
             }
         }
         let mut bits = vec![0u64; (d * d).div_ceil(64)];
@@ -296,9 +330,13 @@ impl SetArena {
             let k = a * d + b;
             bits[k / 64] |= 1u64 << (k % 64);
         };
-        let mut seen: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-        let mut uniques: Vec<usize> = Vec::new(); // posting indices marked so far
-        for (p, rows) in postings.iter().enumerate() {
+        // Posting dedup: content hash → newest marked posting, chained
+        // through `marked` (posting range, previous marked index).
+        let mut seen: FxHashMap<u64, u32> = FxHashMap::default();
+        let mut marked: Vec<(usize, usize, u32)> = Vec::new();
+        for (&lo, &hi) in start.iter().zip(start.iter().skip(1)) {
+            let (lo, hi) = (lo as usize, hi as usize);
+            let rows = &postings[lo..hi];
             if rows.len() < 2 {
                 continue;
             }
@@ -306,12 +344,20 @@ impl SetArena {
             for &r in rows {
                 h = mix(h ^ u64::from(r));
             }
-            let bucket = seen.entry(h).or_default();
-            if bucket.iter().any(|&q| postings[q] == *rows) {
-                continue; // identical posting already marked
+            let head = seen.get(&h).copied().unwrap_or(NONE);
+            let mut cand = head;
+            while cand != NONE {
+                let (m_lo, m_hi, prev) = marked[cand as usize];
+                if &postings[m_lo..m_hi] == rows {
+                    break; // identical posting already marked
+                }
+                cand = prev;
             }
-            bucket.push(p);
-            uniques.push(p);
+            if cand != NONE {
+                continue;
+            }
+            seen.insert(h, marked.len() as u32);
+            marked.push((lo, hi, head));
             for (x, &a) in rows.iter().enumerate() {
                 for &b in &rows[x + 1..] {
                     set(&mut bits, a as usize, b as usize);
@@ -319,10 +365,35 @@ impl SetArena {
                 }
             }
         }
-        let nonempty = (0..d as u32).map(|r| !self.row(r).0.is_empty()).collect();
-        IntersectionMatrix { bits, d, nonempty }
+        // A row intersects itself exactly when it is non-empty.
+        for r in 0..d {
+            if !self.is_empty_row(r as u32) {
+                set(&mut bits, r, r);
+            }
+        }
+        IntersectionMatrix { bits, d }
     }
 }
+
+/// Two arenas are equal when they hold the same rows bit for bit: the
+/// same row assignment, columns, weights and totals (compared by
+/// `to_bits`, so signed zeros count) and interning table. Build scratch
+/// is not content and is not compared.
+impl PartialEq for SetArena {
+    fn eq(&self, other: &SetArena) -> bool {
+        let bits = |xs: &[f64], ys: &[f64]| {
+            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        self.row_of == other.row_of
+            && self.offsets == other.offsets
+            && self.ids == other.ids
+            && bits(&self.weights, &other.weights)
+            && bits(&self.totals, &other.totals)
+            && self.nodes == other.nodes
+    }
+}
+
+impl Eq for SetArena {}
 
 /// A free-list of [`SetArena`]s reused across similarity stages.
 ///
@@ -330,7 +401,7 @@ impl SetArena {
 /// construction every resolve re-grows the same five columns from zero.
 /// An engine-owned pool instead recycles the columns: [`ArenaPool::take`]
 /// pops a previously built arena (or mints an empty one), the stage
-/// [`SetArena::rebuild`]s it in place — bit-identical to a fresh build,
+/// [`SetArena::rebuild_rows`]s it in place — bit-identical to a fresh build,
 /// only capacity survives — and [`ArenaPool::put`] returns it when the
 /// stage ends. Behind a `Mutex` because resolves run under `&self`; the
 /// lock is touched twice per stage, never inside a kernel loop.
@@ -349,7 +420,7 @@ impl ArenaPool {
     }
 
     /// Pop a recycled arena, or mint an empty one when the pool is dry.
-    /// Callers must [`SetArena::rebuild`] it before use and should
+    /// Callers must [`SetArena::rebuild_rows`] it before use and should
     /// [`ArenaPool::put`] it back when the stage is done.
     pub fn take(&self) -> SetArena {
         // distinct-lint: allow(D002, D101, reason="a poisoned pool mutex means a kernel stage panicked mid-build; resolve is already unwinding and recycled capacity is unrecoverable")
@@ -381,18 +452,35 @@ impl ArenaPool {
 pub struct IntersectionMatrix {
     bits: Vec<u64>,
     d: usize,
-    nonempty: Vec<bool>,
 }
 
 impl IntersectionMatrix {
     /// True when rows `a` and `b` share at least one member. For `a == b`
     /// that means the row itself is non-empty.
     pub fn intersects(&self, a: u32, b: u32) -> bool {
-        if a == b {
-            return self.nonempty[a as usize];
-        }
         let k = a as usize * self.d + b as usize;
         self.bits[k / 64] & (1u64 << (k % 64)) != 0
+    }
+
+    /// Call `f(a, b)` for every intersecting pair with `a <= b`, in
+    /// ascending `(a, b)` order, skipping empty words of the bitset.
+    pub fn for_each_upper(&self, mut f: impl FnMut(u32, u32)) {
+        for a in 0..self.d {
+            let (row, end) = (a * self.d, (a + 1) * self.d);
+            let mut k = row + a;
+            while k < end {
+                let word = self.bits[k / 64] >> (k % 64);
+                if word == 0 {
+                    k = (k / 64 + 1) * 64;
+                    continue;
+                }
+                k += word.trailing_zeros() as usize;
+                if k < end {
+                    f(a as u32, (k - row) as u32);
+                }
+                k += 1;
+            }
+        }
     }
 }
 
@@ -497,18 +585,6 @@ mod tests {
         }
     }
 
-    /// Field-for-field bitwise equality of two arenas.
-    fn identical(a: &SetArena, b: &SetArena) -> bool {
-        a.row_of == b.row_of
-            && a.offsets == b.offsets
-            && a.ids == b.ids
-            && a.weights.iter().map(|w| w.to_bits()).collect::<Vec<_>>()
-                == b.weights.iter().map(|w| w.to_bits()).collect::<Vec<_>>()
-            && a.totals.iter().map(|w| w.to_bits()).collect::<Vec<_>>()
-                == b.totals.iter().map(|w| w.to_bits()).collect::<Vec<_>>()
-            && a.universe == b.universe
-    }
-
     #[test]
     fn rebuild_over_dirty_arena_matches_fresh_build() {
         let first = [
@@ -518,11 +594,11 @@ mod tests {
         ];
         let second = [set(&[(1, 0.5)]), set(&[])];
         let mut reused = SetArena::build(first.iter());
-        reused.rebuild(second.iter());
-        assert!(identical(&reused, &SetArena::build(second.iter())));
+        reused.rebuild_rows(second.iter().map(WeightedSet::iter));
+        assert_eq!(reused, SetArena::build(second.iter()));
         // And back again: stale capacity from `second` must not leak.
-        reused.rebuild(first.iter());
-        assert!(identical(&reused, &SetArena::build(first.iter())));
+        reused.rebuild_rows(first.iter().map(WeightedSet::iter));
+        assert_eq!(reused, SetArena::build(first.iter()));
     }
 
     #[test]
@@ -535,8 +611,8 @@ mod tests {
         // even the offsets sentinel); only after a rebuild over zero sets
         // is it field-for-field the same as a fresh `build([])`.
         let mut rebuilt = SetArena::empty();
-        rebuilt.rebuild([]);
-        assert!(identical(&rebuilt, &SetArena::build([])));
+        rebuilt.rebuild_rows(Vec::<Vec<(NodeId, f64)>>::new());
+        assert_eq!(rebuilt, SetArena::build([]));
     }
 
     #[test]
@@ -545,15 +621,15 @@ mod tests {
         assert_eq!(pool.parked(), 0);
         let sets = [set(&[(1, 0.5), (2, 0.5)]), set(&[(3, 1.0)])];
         let mut a = pool.take(); // dry pool mints an empty arena
-        a.rebuild(sets.iter());
+        a.rebuild_rows(sets.iter().map(WeightedSet::iter));
         let ids_cap = a.ids.capacity();
         pool.put(a);
         assert_eq!(pool.parked(), 1);
         let mut b = pool.take(); // recycled: same allocation comes back
         assert_eq!(pool.parked(), 0);
         assert!(b.ids.capacity() >= ids_cap);
-        b.rebuild(sets.iter());
-        assert!(identical(&b, &SetArena::build(sets.iter())));
+        b.rebuild_rows(sets.iter().map(WeightedSet::iter));
+        assert_eq!(b, SetArena::build(sets.iter()));
         pool.put(b);
     }
 
@@ -634,19 +710,26 @@ mod tests {
             let first: Vec<WeightedSet> = first.iter().map(|s| set(s)).collect();
             let second: Vec<WeightedSet> = second.iter().map(|s| set(s)).collect();
             let mut reused = SetArena::build(first.iter());
-            reused.rebuild(second.iter());
-            prop_assert!(identical(&reused, &SetArena::build(second.iter())));
+            reused.rebuild_rows(second.iter().map(WeightedSet::iter));
+            prop_assert_eq!(reused, SetArena::build(second.iter()));
         }
 
-        // Exactness of the intersection matrix on arbitrary inputs.
+        // Exactness of the intersection matrix on arbitrary inputs, over
+        // dense ids and over ids spread across 0..1_000_000 (a stride), so
+        // the CSR postings are interned across wide gaps.
         #[test]
         fn intersections_exact(
             sets in proptest::collection::vec(
                 proptest::collection::vec((0u32..12, 1e-3f64..1.0), 0..8),
-                1..8,
+                1..24,
             ),
+            stride in proptest::option::of(1u32..83_334),
         ) {
-            let sets: Vec<WeightedSet> = sets.iter().map(|s| set(s)).collect();
+            let stride = stride.unwrap_or(1);
+            let sets: Vec<WeightedSet> = sets
+                .iter()
+                .map(|s| s.iter().map(|&(n, w)| (NodeId(n * stride), w)).collect())
+                .collect();
             let arena = SetArena::build(sets.iter());
             let m = arena.intersections();
             for i in 0..sets.len() {
@@ -662,6 +745,16 @@ mod tests {
                     );
                 }
             }
+            // The upper-triangle walk lists exactly the intersecting
+            // pairs, in order, across word boundaries of the bitset.
+            let d = arena.rows() as u32;
+            let mut listed = Vec::new();
+            m.for_each_upper(|a, b| listed.push((a, b)));
+            let expect: Vec<(u32, u32)> = (0..d)
+                .flat_map(|a| (a..d).map(move |b| (a, b)))
+                .filter(|&(a, b)| m.intersects(a, b))
+                .collect();
+            prop_assert_eq!(listed, expect);
         }
     }
 }

@@ -11,10 +11,10 @@
 //!   connection-strength-weighted Jaccard of Definition 2;
 //! * [`walk_probability`] — random-walk probability between two references
 //!   along a path and its reverse (paper §2.4);
-//! * [`Resemblance`] — the unified kernel selector ([`Resemblance::Exact`]
-//!   vs lossless [`Resemblance::Pruned`]) behind every resemblance
-//!   evaluation, backed by per-set [`Sketch`]es and the columnar
-//!   [`SetArena`].
+//! * [`Resemblance`] — the similarity stage's kernel selector
+//!   ([`Resemblance::Exact`] vs lossless [`Resemblance::Pruned`]), the
+//!   latter backed by the columnar [`SetArena`]: streamed, deduplicated
+//!   rows and one exact support-overlap certificate over CSR postings.
 
 #![warn(missing_docs)]
 
@@ -22,12 +22,10 @@ pub mod arena;
 pub mod graph;
 pub mod neighbors;
 pub mod propagate;
-pub mod sketch;
 pub mod walk;
 
 pub use arena::{ArenaPool, IntersectionMatrix, SetArena};
 pub use graph::{LinkGraph, NodeId};
 pub use neighbors::{Resemblance, WeightedSet};
 pub use propagate::{propagate, propagate_blocked, propagate_blocked_guarded, Propagation};
-pub use sketch::{ConfigError, Sketch, SketchConfig};
 pub use walk::{directed_walk, walk_probability};

@@ -11,11 +11,9 @@
 //! ```
 
 use crate::graph::NodeId;
-use crate::sketch::{ConfigError, Sketch, SketchConfig};
 use relstore::FxHashMap;
 
-/// The resemblance kernel selector: one dispatch point for every
-/// weighted-Jaccard evaluation in the engine.
+/// The resemblance kernel selector for the similarity stage.
 ///
 /// Both variants compute the *same function* — Definition 2, bit for bit.
 /// They differ only in how the similarity stage schedules the work:
@@ -23,80 +21,24 @@ use relstore::FxHashMap;
 /// * [`Resemblance::Exact`] evaluates the merge-join kernel for every
 ///   pair directly (the canonical reference, one call away for
 ///   differential tests);
-/// * [`Resemblance::Pruned`] builds per-stage [`Sketch`]es and a columnar
-///   [`SetArena`](crate::SetArena), skips kernels whose value is
-///   *provably exactly zero* (sketch bound or exact support-overlap
-///   certificate), and deduplicates content-identical rows. Because only
-///   provably-zero evaluations are skipped, the produced values — and
-///   hence every downstream merge decision — are bit-identical to
-///   `Exact` at any threshold. That is the losslessness contract, and
-///   the oracle differential suite enforces it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// * [`Resemblance::Pruned`] interns each join path's sets into a
+///   columnar [`SetArena`](crate::SetArena), deduplicates
+///   content-identical rows, and skips every kernel whose rows share no
+///   member — one exact support-overlap certificate
+///   ([`SetArena::intersections`](crate::SetArena::intersections)) that
+///   proves the value *exactly zero*. Because only provably-zero
+///   evaluations are skipped, the produced values — and hence every
+///   downstream merge decision — are bit-identical to `Exact` at any
+///   threshold. That is the losslessness contract, and the oracle
+///   differential suite enforces it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Resemblance {
     /// Evaluate the exact kernel for every pair.
     Exact,
-    /// Prune provably-zero kernels via sketches + interned arenas.
-    Pruned {
-        /// Sketch-tier parameters (validated at request build time).
-        sketch: SketchConfig,
-    },
-}
-
-impl Resemblance {
-    /// The weighted Jaccard resemblance of Definition 2 under this
-    /// kernel. Pair-at-a-time entry point: `Pruned` consults the two
-    /// sets' sketches before falling back to the exact merge-join, and
-    /// returns the same bits either way.
-    pub fn weighted(&self, a: &WeightedSet, b: &WeightedSet) -> f64 {
-        match self {
-            Resemblance::Exact => exact_resemblance(a, b),
-            Resemblance::Pruned { sketch } => {
-                let sa = Sketch::of_set(a, sketch);
-                let sb = Sketch::of_set(b, sketch);
-                if sa.upper_bound(&sb) == 0.0 {
-                    0.0
-                } else {
-                    exact_resemblance(a, b)
-                }
-            }
-        }
-    }
-
-    /// The unweighted Jaccard (ablation baseline) under this kernel.
-    /// A zero sketch bound proves the supports are disjoint, which
-    /// zeroes the unweighted coefficient too.
-    pub fn unweighted(&self, a: &WeightedSet, b: &WeightedSet) -> f64 {
-        match self {
-            Resemblance::Exact => exact_jaccard(a, b),
-            Resemblance::Pruned { sketch } => {
-                let sa = Sketch::of_set(a, sketch);
-                let sb = Sketch::of_set(b, sketch);
-                if sa.upper_bound(&sb) == 0.0 {
-                    0.0
-                } else {
-                    exact_jaccard(a, b)
-                }
-            }
-        }
-    }
-
-    /// Validate the kernel's parameters (always `Ok` for `Exact`).
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        match self {
-            Resemblance::Exact => Ok(()),
-            Resemblance::Pruned { sketch } => sketch.validate(),
-        }
-    }
-}
-
-impl Default for Resemblance {
-    /// Pruned with the lossless defaults — the fast path is the default
-    /// path, and it is exact by construction.
-    fn default() -> Self {
-        Resemblance::Pruned {
-            sketch: SketchConfig::lossless(),
-        }
-    }
+    /// Skip provably-zero kernels via interned arenas (the default: the
+    /// fast path is the default path, and it is exact by construction).
+    #[default]
+    Pruned,
 }
 
 /// A weighted set of nodes (neighbor tuples with connection strengths).
@@ -234,82 +176,70 @@ impl WeightedSet {
     /// assert!((a.resemblance(&b) - 0.25 / 1.75).abs() < 1e-12);
     /// ```
     ///
-    /// Thin wrapper over [`Resemblance::Exact`], kept for the many
-    /// pair-at-a-time call sites; the similarity stage dispatches through
-    /// [`Resemblance`] instead.
+    /// The exact kernel [`Resemblance::Exact`] runs per pair, and the
+    /// one the columnar arena must match bit for bit.
+    // distinct-lint: allow(D005, reason="O(|A|+|B|) per-pair leaf; DistinctMerger charges the budget per pair")
     pub fn resemblance(&self, other: &WeightedSet) -> f64 {
-        exact_resemblance(self, other)
+        let (a, b) = (self, other);
+        debug_assert!(is_sorted(&a.weights), "resemblance lhs not sorted");
+        debug_assert!(is_sorted(&b.weights), "resemblance rhs not sorted");
+        if a.is_empty() || b.is_empty() {
+            return 0.0;
+        }
+        // Merge-join of the two sorted pair lists: Σ min accumulates in
+        // ascending node order, bit-identical however the sets were built.
+        let (aw, bw) = (&a.weights, &b.weights);
+        let mut num = 0.0; // Σ min over intersection
+        let (mut i, mut j) = (0, 0);
+        while i < aw.len() && j < bw.len() {
+            match aw[i].0.cmp(&bw[j].0) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    num += aw[i].1.min(bw[j].1);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        // Σ max over the union = total_A + total_B − Σ min over the
+        // intersection (min + max = w_A + w_B pointwise on the intersection).
+        let den = a.total() + b.total() - num;
+        debug_assert!(den >= num - 1e-12);
+        if den <= 0.0 {
+            0.0
+        } else {
+            num / den
+        }
     }
 
     /// Unweighted Jaccard (|A ∩ B| / |A ∪ B|) — the ablation baseline that
-    /// ignores connection strengths. Thin wrapper over the exact kernel
-    /// (see [`Resemblance`]).
+    /// ignores connection strengths.
+    // distinct-lint: allow(D005, reason="O(|A|+|B|) per-pair leaf; DistinctMerger charges the budget per pair")
     pub fn jaccard_unweighted(&self, other: &WeightedSet) -> f64 {
-        exact_jaccard(self, other)
-    }
-}
-
-/// The exact merge-join resemblance kernel behind both
-/// [`WeightedSet::resemblance`] and [`Resemblance::weighted`].
-// distinct-lint: allow(D005, reason="O(|A|+|B|) per-pair leaf; DistinctMerger charges the budget per pair")
-fn exact_resemblance(a: &WeightedSet, b: &WeightedSet) -> f64 {
-    debug_assert!(is_sorted(&a.weights), "resemblance lhs not sorted");
-    debug_assert!(is_sorted(&b.weights), "resemblance rhs not sorted");
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    // Merge-join of the two sorted pair lists: Σ min accumulates in
-    // ascending node order, bit-identical however the sets were built.
-    let (aw, bw) = (&a.weights, &b.weights);
-    let mut num = 0.0; // Σ min over intersection
-    let (mut i, mut j) = (0, 0);
-    while i < aw.len() && j < bw.len() {
-        match aw[i].0.cmp(&bw[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                num += aw[i].1.min(bw[j].1);
-                i += 1;
-                j += 1;
+        let (a, b) = (self, other);
+        if a.is_empty() || b.is_empty() {
+            return 0.0;
+        }
+        let (aw, bw) = (&a.weights, &b.weights);
+        let mut inter = 0usize;
+        let (mut i, mut j) = (0, 0);
+        while i < aw.len() && j < bw.len() {
+            match aw[i].0.cmp(&bw[j].0) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    inter += 1;
+                    i += 1;
+                    j += 1;
+                }
             }
         }
+        let union = a.len() + b.len() - inter;
+        let j = inter as f64 / union as f64;
+        debug_assert!((0.0..=1.0).contains(&j), "jaccard out of range: {j}");
+        j
     }
-    // Σ max over the union = total_A + total_B − Σ min over the
-    // intersection (min + max = w_A + w_B pointwise on the intersection).
-    let den = a.total() + b.total() - num;
-    debug_assert!(den >= num - 1e-12);
-    if den <= 0.0 {
-        0.0
-    } else {
-        num / den
-    }
-}
-
-/// The exact unweighted Jaccard kernel behind
-/// [`WeightedSet::jaccard_unweighted`] and [`Resemblance::unweighted`].
-// distinct-lint: allow(D005, reason="O(|A|+|B|) per-pair leaf; DistinctMerger charges the budget per pair")
-fn exact_jaccard(a: &WeightedSet, b: &WeightedSet) -> f64 {
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let (aw, bw) = (&a.weights, &b.weights);
-    let mut inter = 0usize;
-    let (mut i, mut j) = (0, 0);
-    while i < aw.len() && j < bw.len() {
-        match aw[i].0.cmp(&bw[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                inter += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    let union = a.len() + b.len() - inter;
-    let j = inter as f64 / union as f64;
-    debug_assert!((0.0..=1.0).contains(&j), "jaccard out of range: {j}");
-    j
 }
 
 impl FromIterator<(NodeId, f64)> for WeightedSet {
@@ -390,57 +320,7 @@ mod tests {
         assert!((a.total() - 1.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn kernel_dispatch_agrees_with_wrappers() {
-        let a = set(&[(1, 0.5), (2, 0.5)]);
-        let b = set(&[(2, 0.25), (3, 0.75)]);
-        let exact = Resemblance::Exact;
-        let pruned = Resemblance::default();
-        assert!(matches!(pruned, Resemblance::Pruned { .. }));
-        assert_eq!(
-            exact.weighted(&a, &b).to_bits(),
-            a.resemblance(&b).to_bits()
-        );
-        assert_eq!(
-            pruned.weighted(&a, &b).to_bits(),
-            a.resemblance(&b).to_bits()
-        );
-        assert_eq!(
-            pruned.unweighted(&a, &b).to_bits(),
-            a.jaccard_unweighted(&b).to_bits()
-        );
-        exact.validate().unwrap();
-        pruned.validate().unwrap();
-        let bad = Resemblance::Pruned {
-            sketch: SketchConfig {
-                prefix_len: 0,
-                minhash_bits: 9,
-            },
-        };
-        assert!(bad.validate().is_err());
-    }
-
     proptest! {
-        // The losslessness contract at the pair level: `Pruned` returns
-        // the same bits as `Exact` for arbitrary sets.
-        #[test]
-        fn pruned_kernel_bit_identical_to_exact(
-            xs in proptest::collection::vec((0u32..24, 0.01f64..1.0), 0..15),
-            ys in proptest::collection::vec((0u32..24, 0.01f64..1.0), 0..15),
-        ) {
-            let a = set(&xs);
-            let b = set(&ys);
-            let pruned = Resemblance::default();
-            prop_assert_eq!(
-                pruned.weighted(&a, &b).to_bits(),
-                Resemblance::Exact.weighted(&a, &b).to_bits()
-            );
-            prop_assert_eq!(
-                pruned.unweighted(&a, &b).to_bits(),
-                Resemblance::Exact.unweighted(&a, &b).to_bits()
-            );
-        }
-
         #[test]
         fn resemblance_is_symmetric_and_bounded(
             xs in proptest::collection::vec((0u32..20, 0.01f64..1.0), 0..15),

@@ -164,8 +164,7 @@ fn check_world(config: &WorldConfig, supervised: bool) -> Result<(), String> {
             // the same clustering and prune nothing.
             let exact_req = ResolveRequest::new(refs)
                 .threads(threads)
-                .similarity(Resemblance::Exact)
-                .map_err(|e| format!("Exact kernel rejected: {e}"))?;
+                .similarity(Resemblance::Exact);
             let exact = engine.resolve(&exact_req);
             if exact.clustering.labels != cold.clustering.labels
                 || exact.clustering.dendrogram.merges() != cold.clustering.dendrogram.merges()
