@@ -131,10 +131,7 @@ fn run_rung(r: &Rung) -> Result<(), BenchError> {
     let prepare_alloc = a1.delta();
 
     let refs = engine.references_of(NAME);
-    let opts = RunOptions {
-        chunk_size: 64,
-        ..Default::default()
-    };
+    let opts = RunOptions::default();
 
     // Cold durable run through a counting Vfs: the uninterrupted cost and
     // the length of the write schedule (the sweep space for recovery).
@@ -157,8 +154,8 @@ fn run_rung(r: &Rung) -> Result<(), BenchError> {
     assert!(cold.outcome.is_complete(), "cold run degraded");
 
     // Recovery: a fresh run killed at its final write (the clustering
-    // checkpoint), then resumed cold. The resume restores profiles and
-    // similarity from disk and recomputes only the clustering stage.
+    // checkpoint), then resumed. The resume restores the similarity
+    // tables from disk and recomputes only the clustering stage.
     let _ = std::fs::remove_dir_all(&run_dir);
     let fatal = RunOptions {
         max_retries: 0,
@@ -193,7 +190,7 @@ fn run_rung(r: &Rung) -> Result<(), BenchError> {
          \"prepare\": {{ \"allocs\": {}, \"bytes_alloc\": {} }},\n    \
          \"resolve\": {{ \"allocs\": {}, \"bytes_alloc\": {} }}\n  }},\n  \
          \"recovery\": {{\n    \"total_writes\": {total_writes},\n    \"killed_at_write\": {total_writes},\n    \
-         \"chunks_committed\": {},\n    \"profiles_restored\": {},\n    \"similarity_restored\": {},\n    \
+         \"chunks_committed\": {},\n    \"similarity_restored\": {},\n    \
          \"resume_ms\": {resume_ms},\n    \"resume_fraction\": {:.4}\n  }}\n}}\n",
         r.scenario,
         r.config.n_authors,
@@ -216,7 +213,6 @@ fn run_rung(r: &Rung) -> Result<(), BenchError> {
         resolve_alloc.allocs,
         resolve_alloc.bytes_alloc,
         cold.run.chunks_committed,
-        resumed.run.profiles_restored,
         resumed.run.similarity_restored,
         resume_ms as f64 / cold_ms.max(1) as f64,
     );

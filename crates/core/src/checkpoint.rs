@@ -58,8 +58,7 @@ pub(crate) struct PropEntry {
     backward: Vec<(u32, f64)>,
 }
 
-/// Persisted form of one reference profile. Shared by the engine
-/// checkpoint and the run manager's per-chunk profile checkpoints.
+/// Persisted form of one reference profile in the engine checkpoint.
 #[derive(Debug, Serialize, Deserialize)]
 pub(crate) struct ProfileEntry {
     rel: u32,
@@ -133,10 +132,85 @@ struct CheckpointPayload {
     profiles: Vec<ProfileEntry>,
 }
 
-fn corrupt(path: &Path, reason: impl Into<String>) -> DistinctError {
+pub(crate) fn corrupt(path: &Path, reason: impl Into<String>) -> DistinctError {
     DistinctError::CorruptCheckpoint {
         path: path.display().to_string(),
         reason: reason.into(),
+    }
+}
+
+/// The checksummed frame of the engine checkpoint and of every
+/// run-directory file: a magic line (`prefix` + format `version`), the
+/// payload's FNV-1a-64 as 16 hex digits, then the JSON payload, whose own
+/// `format` field repeats the version.
+pub(crate) struct Framing {
+    pub(crate) prefix: &'static str,
+    pub(crate) version: u32,
+}
+
+const CHECKPOINT_FRAMING: Framing = Framing {
+    prefix: CHECKPOINT_MAGIC_PREFIX,
+    version: CHECKPOINT_FORMAT_VERSION,
+};
+
+impl Framing {
+    /// Frame a JSON payload: magic line, checksum line, payload.
+    pub(crate) fn frame(&self, json: &str) -> String {
+        let checksum = fnv1a64(json.as_bytes());
+        format!("{}{}\n{checksum:016x}\n{json}", self.prefix, self.version)
+    }
+
+    /// Verify a frame and parse its payload. A well-formed magic, or a
+    /// payload `format`, of another version is a foreign-build artifact
+    /// ([`DistinctError::VersionMismatch`]) — the bytes are intact, just
+    /// foreign; anything else that fails is corruption.
+    pub(crate) fn unframe<T: Deserialize>(
+        &self,
+        path: &Path,
+        bytes: &[u8],
+        format_of: impl Fn(&T) -> u32,
+    ) -> Result<T, DistinctError> {
+        let mismatch = |found| DistinctError::VersionMismatch {
+            path: path.display().to_string(),
+            found,
+            expected: self.version,
+        };
+        let text =
+            std::str::from_utf8(bytes).map_err(|_| corrupt(path, "file is not valid UTF-8"))?;
+        let mut lines = text.splitn(3, '\n');
+        let magic = lines.next().unwrap_or("");
+        match magic.strip_prefix(self.prefix).map(str::parse) {
+            Some(Ok(found)) if found == self.version => {}
+            Some(Ok(found)) => return Err(mismatch(found)),
+            _ => {
+                return Err(corrupt(
+                    path,
+                    format!(
+                        "bad magic `{magic}` (expected {}{})",
+                        self.prefix, self.version
+                    ),
+                ))
+            }
+        }
+        let declared = lines
+            .next()
+            .ok_or_else(|| corrupt(path, "missing checksum line"))?;
+        let json = lines
+            .next()
+            .ok_or_else(|| corrupt(path, "missing payload"))?;
+        let actual = format!("{:016x}", fnv1a64(json.as_bytes()));
+        if declared != actual {
+            return Err(corrupt(
+                path,
+                format!("checksum mismatch: header {declared}, payload {actual}"),
+            ));
+        }
+        let value: T = serde_json::from_str(json)
+            .map_err(|e| corrupt(path, format!("unparseable payload: {e}")))?;
+        match format_of(&value) {
+            found if found == self.version => Ok(value),
+            found => Err(mismatch(found)),
+        }
     }
 }
 
@@ -176,10 +250,7 @@ impl Distinct {
                 reason: e.to_string(),
             })
         })?;
-        let blob = format!(
-            "{CHECKPOINT_MAGIC}\n{:016x}\n{json}",
-            fnv1a64(json.as_bytes())
-        );
+        let blob = CHECKPOINT_FRAMING.frame(&json);
         let tmp = path.with_extension("tmp");
         vfs.write(&tmp, blob.as_bytes()).map_err(|e| {
             DistinctError::Store(relstore::StoreError::Io {
@@ -216,50 +287,8 @@ impl Distinct {
                 reason: e.to_string(),
             })
         })?;
-        let text = std::str::from_utf8(&bytes)
-            .map_err(|_| corrupt(path, "checkpoint is not valid UTF-8"))?;
-        let mut lines = text.splitn(3, '\n');
-        let magic = lines.next().unwrap_or("");
-        if magic != CHECKPOINT_MAGIC {
-            // A well-formed magic with a different version suffix is a
-            // foreign-build checkpoint, not corruption.
-            if let Some(found) = magic
-                .strip_prefix(CHECKPOINT_MAGIC_PREFIX)
-                .and_then(|v| v.parse::<u32>().ok())
-            {
-                return Err(DistinctError::VersionMismatch {
-                    path: path.display().to_string(),
-                    found,
-                    expected: CHECKPOINT_FORMAT_VERSION,
-                });
-            }
-            return Err(corrupt(
-                path,
-                format!("bad magic `{magic}` (expected {CHECKPOINT_MAGIC})"),
-            ));
-        }
-        let declared = lines
-            .next()
-            .ok_or_else(|| corrupt(path, "missing checksum line"))?;
-        let json = lines
-            .next()
-            .ok_or_else(|| corrupt(path, "missing payload"))?;
-        let actual = format!("{:016x}", fnv1a64(json.as_bytes()));
-        if declared != actual {
-            return Err(corrupt(
-                path,
-                format!("checksum mismatch: header {declared}, payload {actual}"),
-            ));
-        }
-        let payload: CheckpointPayload = serde_json::from_str(json)
-            .map_err(|e| corrupt(path, format!("unparseable payload: {e}")))?;
-        if payload.format != CHECKPOINT_FORMAT_VERSION {
-            return Err(DistinctError::VersionMismatch {
-                path: path.display().to_string(),
-                found: payload.format,
-                expected: CHECKPOINT_FORMAT_VERSION,
-            });
-        }
+        let payload: CheckpointPayload =
+            CHECKPOINT_FRAMING.unframe(path, &bytes, |p: &CheckpointPayload| p.format)?;
         if payload.paths != self.paths().descriptions {
             return Err(corrupt(
                 path,
@@ -291,11 +320,12 @@ impl Distinct {
             })?;
             restored.push((profile.reference, Arc::new(profile)));
         }
-        // All validation passed: install atomically (state-wise) — a
-        // failed load leaves the engine exactly as it was.
-        self.set_min_sim(payload.min_sim);
+        crate::config::check_min_sim(payload.min_sim).map_err(|e| corrupt(path, e))?;
+        // The last check: `set_weights` installs nothing unless it
+        // succeeds, so a failed load leaves the engine exactly as it was.
         self.set_weights(payload.weights)
-            .map_err(|_| corrupt(path, "weight dimensionality does not match path set"))?;
+            .map_err(|e| corrupt(path, e.to_string()))?;
+        self.set_min_sim(payload.min_sim);
         self.install_learned(payload.learned);
         self.install_profiles(restored);
         Ok(())
@@ -516,6 +546,54 @@ mod tests {
             fresh.load_checkpoint(&path).unwrap_err(),
             DistinctError::VersionMismatch { found: 99, .. }
         ));
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn a_refused_load_leaves_threshold_and_weights_unchanged() {
+        let d = dataset();
+        let mut saved = engine(&d);
+        saved.set_min_sim(0.25);
+        let path = temp_file("invalid");
+        saved.save_checkpoint(&path).unwrap();
+        let blob = std::fs::read_to_string(&path).unwrap();
+        let json = blob.splitn(3, '\n').nth(2).unwrap();
+
+        // Checksummed payloads whose values no engine may install.
+        let n = saved.paths().len();
+        type Tamper = fn(&mut CheckpointPayload);
+        let tampered: [(&str, Tamper); 4] = [
+            ("negative weight", |p| p.weights.resem[0] = -1.0),
+            ("NaN weight", |p| p.weights.walk[0] = f64::NAN),
+            ("short weights", |p| {
+                p.weights.walk.pop();
+            }),
+            ("NaN threshold", |p| p.min_sim = f64::NAN),
+        ];
+        for (what, tamper) in tampered {
+            let mut payload: CheckpointPayload = serde_json::from_str(json).unwrap();
+            assert_eq!(payload.weights.walk.len(), n);
+            tamper(&mut payload);
+            let smuggled = serde_json::to_string(&payload).unwrap();
+            std::fs::write(&path, CHECKPOINT_FRAMING.frame(&smuggled)).unwrap();
+            let mut fresh = engine(&d);
+            let (min_sim, weights) = (fresh.config().min_sim, fresh.weights().clone());
+            assert!(
+                matches!(
+                    fresh.load_checkpoint(&path),
+                    Err(DistinctError::CorruptCheckpoint { .. })
+                ),
+                "{what}"
+            );
+            assert_eq!(
+                fresh.config().min_sim.to_bits(),
+                min_sim.to_bits(),
+                "{what}"
+            );
+            assert_eq!(fresh.weights(), &weights, "{what}");
+            assert!(fresh.learned().is_none(), "{what}");
+            assert_eq!(fresh.cached_profiles(), 0, "{what}");
+        }
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 

@@ -111,15 +111,22 @@ impl Default for DistinctConfig {
     }
 }
 
+/// Why `min_sim` is not a usable clustering threshold, if it is not.
+pub(crate) fn check_min_sim(min_sim: f64) -> Result<(), String> {
+    if min_sim.is_finite() && min_sim >= 0.0 {
+        Ok(())
+    } else {
+        Err(format!("min_sim must be finite and >= 0, got {min_sim}"))
+    }
+}
+
 impl DistinctConfig {
     /// Validate parameter ranges.
     pub fn validate(&self) -> Result<(), String> {
         if self.max_path_len == 0 {
             return Err("max_path_len must be >= 1".into());
         }
-        if !self.min_sim.is_finite() || self.min_sim < 0.0 {
-            return Err("min_sim must be finite and >= 0".into());
-        }
+        check_min_sim(self.min_sim)?;
         if !(self.training.svm_c.is_finite() && self.training.svm_c > 0.0) {
             return Err("svm_c must be finite and > 0".into());
         }

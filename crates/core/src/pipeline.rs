@@ -13,7 +13,7 @@
 //! (see the `exec` crate docs for the determinism recipe).
 
 use crate::cache::ProfileCache;
-use crate::config::{DistinctConfig, WeightingMode};
+use crate::config::{check_min_sim, DistinctConfig, WeightingMode};
 use crate::control::{InterruptKind, Progress, RunControl, Stage};
 use crate::features::{
     build_profile, build_profile_guarded, empty_profile, resemblance_features, walk_features,
@@ -29,6 +29,7 @@ use crate::training::{
 use cluster::{agglomerate_exec, Clustering, ConstrainedMerger, Dendrogram, PartialClustering};
 use relgraph::LinkGraph;
 use relstore::{Catalog, FxHashMap, StoreError, TupleId, TupleRef, Value};
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -337,13 +338,25 @@ impl Distinct {
 
     /// Override the per-path weights (e.g. to reuse a serialized model).
     ///
-    /// Returns an error if the dimensionality does not match the path set.
+    /// Returns an error, and installs nothing, unless the weights cover
+    /// exactly the engine's paths and every entry is finite and
+    /// non-negative (learned weights are clamped at zero).
     pub fn set_weights(&mut self, weights: PathWeights) -> Result<(), DistinctError> {
         if weights.resem.len() != self.paths.len() || weights.walk.len() != self.paths.len() {
             return Err(DistinctError::Config(format!(
                 "weights cover {} paths, engine has {}",
                 weights.resem.len(),
                 self.paths.len()
+            )));
+        }
+        if let Some(bad) = weights
+            .resem
+            .iter()
+            .chain(&weights.walk)
+            .find(|w| !(w.is_finite() && **w >= 0.0))
+        {
+            return Err(DistinctError::Config(format!(
+                "weights must be finite and non-negative, got {bad}"
             )));
         }
         self.weights = weights;
@@ -473,12 +486,6 @@ impl Distinct {
         self.profile_cache.replace(entries);
     }
 
-    /// Insert one profile into the shared cache (run-manager chunk
-    /// restore; races resolve to the first entry, which is identical).
-    pub(crate) fn cache_insert(&self, r: TupleRef, p: Arc<Profile>) {
-        self.profile_cache.insert(r, p);
-    }
-
     /// Drop every cached profile (run-manager memory-budget guard).
     /// Always safe: profiles are pure caches of deterministic computation.
     pub(crate) fn evict_profiles(&self) {
@@ -506,7 +513,8 @@ impl Distinct {
         } else {
             exec::Executor::with_threads(threads)
         };
-        let _ = self.profile_fanout(refs, &executor, &RunControl::new());
+        let ctl = RunControl::new();
+        let _ = self.profile_fanout(refs, &executor, &ctl, &ctl.shared_guard());
     }
 
     /// The executor for one run: an explicit per-request override beats the
@@ -515,8 +523,9 @@ impl Distinct {
         exec::Executor::with_threads(threads.unwrap_or(self.config.threads))
     }
 
-    /// Fan profile construction for `refs` out over `executor`, honoring
-    /// `ctl` at item/chunk boundaries, and return one profile per input
+    /// Fan profile construction for `refs` out over `executor`, charging
+    /// `guard` per propagation level and honoring `ctl` at item/chunk
+    /// boundaries, and return one profile per input
     /// reference in input order. Cached profiles are reused for free;
     /// freshly computed ones enter the shared cache. References whose
     /// profile could not be computed before a limit tripped get a
@@ -527,6 +536,7 @@ impl Distinct {
         refs: &[TupleRef],
         executor: &exec::Executor,
         ctl: &RunControl,
+        guard: &(dyn Fn(u64) -> bool + Sync),
     ) -> (Vec<Arc<Profile>>, exec::ParStats) {
         // Deduplicated, sorted work list of cache misses: each missing
         // profile is computed exactly once, in an order independent of the
@@ -538,7 +548,6 @@ impl Distinct {
             .collect();
         todo.sort_unstable();
         todo.dedup();
-        let guard = ctl.shared_guard();
         let (computed, stats) = executor.par_map_guarded(
             &todo,
             |_, &r| {
@@ -624,7 +633,8 @@ impl Distinct {
         train_refs.sort_unstable();
         train_refs.dedup();
         let logical0 = ctl.spent();
-        let (profiles, profile_stats) = self.profile_fanout(&train_refs, &executor, ctl);
+        let (profiles, profile_stats) =
+            self.profile_fanout(&train_refs, &executor, ctl, &ctl.shared_guard());
         let profile_logical = ctl.spent().saturating_sub(logical0);
         let real = profiles.iter().filter(|p| !p.placeholder).count();
         if real < train_refs.len() {
@@ -750,68 +760,125 @@ impl Distinct {
                 return outcome;
             }
         }
-        let refs = req.refs;
-        let min_sim = req.min_sim.unwrap_or(self.config.min_sim);
         let unlimited = RunControl::new();
         let ctl = req.control.unwrap_or(&unlimited);
+        let Ok(outcome) = self.resolve_staged(req, ctl, None, None, |_| Ok::<(), Infallible>(()));
+        outcome
+    }
+
+    /// The batch pipeline behind [`Distinct::resolve`] and
+    /// [`Distinct::resolve_durable_with`]: profiles, then the pairwise
+    /// similarity tables, then agglomerative clustering, with the trip
+    /// bookkeeping, the singleton fallback and the [`ExecReport`] in one
+    /// place.
+    ///
+    /// Every stage charges its work against `ctl`, and each charge also
+    /// beats `heartbeat` when one is given (the durable path's watchdog
+    /// listens to it). `restored` holds tables from a committed checkpoint
+    /// and skips the first two stages. `commit_tables` gets freshly built
+    /// tables when no stage has tripped; its error aborts the run before
+    /// clustering.
+    pub(crate) fn resolve_staged<E>(
+        &self,
+        req: &ResolveRequest<'_>,
+        ctl: &RunControl,
+        heartbeat: Option<&exec::Heartbeat>,
+        restored: Option<DistinctMerger>,
+        commit_tables: impl FnOnce(&DistinctMerger) -> Result<(), E>,
+    ) -> Result<ResolveOutcome, E> {
+        let charge = ctl.shared_guard();
+        let guard = |units: u64| {
+            if let Some(heartbeat) = heartbeat {
+                heartbeat.beat();
+            }
+            charge(units)
+        };
+        let n = req.refs.len();
+        let min_sim = req.min_sim.unwrap_or(self.config.min_sim);
         let executor = self.executor_for(req.threads);
-
-        // Stage 1: profiles (placeholders for anything a limit cut off).
-        let logical0 = ctl.spent();
-        let (profiles, profile_stats) = self.profile_fanout(refs, &executor, ctl);
-        let profile_logical = ctl.spent().saturating_sub(logical0);
-        let profiles_computed = profiles.iter().filter(|p| !p.placeholder).count();
+        // The first stage a limit cuts short names the degradation.
         let mut trip: Option<(Stage, InterruptKind)> = None;
-        if profiles_computed < refs.len() {
-            let kind = ctl.status().unwrap_or(InterruptKind::Cancelled);
-            trip = Some((Stage::Profiles, kind));
-        }
+        let tripped = |trip: &mut Option<(Stage, InterruptKind)>, stage: Stage| {
+            trip.get_or_insert_with(|| (stage, ctl.status().unwrap_or(InterruptKind::Cancelled)));
+        };
 
-        // Stage 2: pairwise similarity matrix.
-        let guard = ctl.shared_guard();
-        let logical1 = ctl.spent();
-        let (merger, matrix_stats, pair_counters) =
-            self.similarity_stage(&profiles, &req.resemblance, &executor, &guard);
-        let similarity_logical = ctl.spent().saturating_sub(logical1);
+        let mut profiles_computed = n;
+        let (mut profile_stats, mut profile_logical) = (exec::ParStats::default(), 0);
+        let (mut matrix_stats, mut similarity_logical) = (exec::ParStats::default(), 0);
+        let mut pair_counters = crate::refcluster::PairCounters::default();
+        let merger = match restored {
+            Some(tables) => Some(tables),
+            None => {
+                // Stage 1: profiles (placeholders for anything a limit
+                // cut off).
+                let logical0 = ctl.spent();
+                let (profiles, stats) = self.profile_fanout(req.refs, &executor, ctl, &guard);
+                profile_stats = stats;
+                profile_logical = ctl.spent().saturating_sub(logical0);
+                profiles_computed = profiles.iter().filter(|p| !p.placeholder).count();
+                if profiles_computed < n {
+                    tripped(&mut trip, Stage::Profiles);
+                }
 
-        // Stage 3: agglomerative clustering.
+                // Stage 2: pairwise similarity tables.
+                let logical1 = ctl.spent();
+                let (built, stats, counters) =
+                    self.similarity_stage(&profiles, &req.resemblance, &executor, &guard);
+                matrix_stats = stats;
+                similarity_logical = ctl.spent().saturating_sub(logical1);
+                pair_counters = counters;
+                if let (Some(tables), None) = (&built, trip) {
+                    commit_tables(tables)?;
+                }
+                built
+            }
+        };
+
+        // Stage 3: agglomerative clustering, wrapped in user constraints
+        // when any are present.
         // distinct-lint: allow(D004, reason="wall time feeds ExecReport stage timings only; control flow stays with RunControl")
         let clock = Instant::now();
         let logical2 = ctl.spent();
         let (partial, mut cluster_stats) = match merger {
-            Some(inner) => self.clustering_stage(
-                inner,
-                refs.len(),
-                min_sim,
-                &req.must_link,
-                &req.cannot_link,
-                &executor,
-                &guard,
-            ),
+            Some(inner) if req.is_constrained() => {
+                let mut constrained =
+                    ConstrainedMerger::new(inner, n, &req.must_link, &req.cannot_link);
+                agglomerate_exec(n, &mut constrained, min_sim, &executor, &guard)
+            }
+            Some(mut inner) => agglomerate_exec(n, &mut inner, min_sim, &executor, &guard),
             None => {
                 // The matrix build was cut short: every reference stays a
                 // singleton (an empty dendrogram cut below any threshold).
-                if trip.is_none() {
-                    let kind = ctl.status().unwrap_or(InterruptKind::Cancelled);
-                    trip = Some((Stage::SimilarityMatrix, kind));
-                }
-                Self::singleton_partition(refs.len())
+                tripped(&mut trip, Stage::SimilarityMatrix);
+                let dendrogram = Dendrogram::new(n);
+                let labels = dendrogram.cut(f64::NEG_INFINITY);
+                let clustering = Clustering { labels, dendrogram };
+                let stats = exec::ParStats {
+                    threads: 1,
+                    ..Default::default()
+                };
+                (
+                    PartialClustering {
+                        clustering,
+                        completed: false,
+                    },
+                    stats,
+                )
             }
         };
         cluster_stats.wall = clock.elapsed();
         let clustering_logical = ctl.spent().saturating_sub(logical2);
-        if !partial.completed && trip.is_none() {
-            let kind = ctl.status().unwrap_or(InterruptKind::Cancelled);
-            trip = Some((Stage::Clustering, kind));
+        if !partial.completed {
+            tripped(&mut trip, Stage::Clustering);
         }
         let degraded = trip.map(|(stage, kind)| Degraded {
             stage,
             kind,
             profiles_computed,
-            refs_total: refs.len(),
+            refs_total: n,
             clustering_completed: partial.completed,
         });
-        ResolveOutcome {
+        Ok(ResolveOutcome {
             clustering: partial.clustering,
             degraded,
             exec: ExecReport {
@@ -827,13 +894,13 @@ impl Distinct {
                 names_affected: 0,
                 arena_rows_interned: pair_counters.interned,
             },
-        }
+        })
     }
 
-    /// Stage 2 of resolution, named for the run manager: the pairwise
-    /// similarity tables under the engine's weights, measure, and
-    /// composite. Returns `None` (with the stats recording how far it got)
-    /// when `guard` trips mid-build.
+    /// Stage 2 of resolution, shared by the batch pipeline and the
+    /// incremental path: the pairwise similarity tables under the
+    /// engine's weights, measure, and composite. Returns `None` (with the
+    /// stats recording how far it got) when `guard` trips mid-build.
     pub(crate) fn similarity_stage(
         &self,
         profiles: &[Arc<Profile>],
@@ -854,45 +921,6 @@ impl Distinct {
             executor,
             guard,
             &self.arena_pool,
-        )
-    }
-
-    /// Stage 3 of resolution, named for the run manager: agglomerative
-    /// merging over a built similarity matrix, wrapped in user constraints
-    /// when any are present.
-    #[allow(clippy::too_many_arguments)] // internal stage seam: the run manager threads every resolve option through explicitly
-    pub(crate) fn clustering_stage(
-        &self,
-        mut merger: DistinctMerger,
-        n: usize,
-        min_sim: f64,
-        must_link: &[(usize, usize)],
-        cannot_link: &[(usize, usize)],
-        executor: &exec::Executor,
-        guard: &(dyn Fn(u64) -> bool + Sync),
-    ) -> (PartialClustering, exec::ParStats) {
-        if !must_link.is_empty() || !cannot_link.is_empty() {
-            let mut constrained = ConstrainedMerger::new(merger, n, must_link, cannot_link);
-            agglomerate_exec(n, &mut constrained, min_sim, executor, guard)
-        } else {
-            agglomerate_exec(n, &mut merger, min_sim, executor, guard)
-        }
-    }
-
-    /// The all-singletons fallback partition over `n` references: an empty
-    /// dendrogram cut below any threshold, flagged incomplete.
-    pub(crate) fn singleton_partition(n: usize) -> (PartialClustering, exec::ParStats) {
-        let dendrogram = Dendrogram::new(n);
-        let labels = dendrogram.cut(f64::NEG_INFINITY);
-        (
-            PartialClustering {
-                clustering: Clustering { labels, dendrogram },
-                completed: false,
-            },
-            exec::ParStats {
-                threads: 1,
-                ..Default::default()
-            },
         )
     }
 
@@ -923,7 +951,7 @@ impl Distinct {
     /// Import a model exported by [`Distinct::export_model`] into this
     /// engine. The path descriptions must match exactly — a model is only
     /// valid for the schema (and path enumeration settings) it was trained
-    /// on.
+    /// on. A refused model leaves the engine exactly as it was.
     pub fn import_model(&mut self, json: &str) -> Result<(), DistinctError> {
         let saved: SavedModel = serde_json::from_str(json)
             .map_err(|e| DistinctError::Config(format!("unparseable model: {e}")))?;
@@ -932,10 +960,13 @@ impl Distinct {
                 "model was trained on a different join-path set".into(),
             ));
         }
+        check_min_sim(saved.config.min_sim).map_err(DistinctError::Config)?;
+        // The last check: `set_weights` installs nothing unless it succeeds.
+        self.set_weights(saved.weights)?;
         self.config.min_sim = saved.config.min_sim;
         self.config.measure = saved.config.measure;
         self.config.composite = saved.config.composite;
-        self.set_weights(saved.weights)
+        Ok(())
     }
 }
 
@@ -1163,6 +1194,84 @@ mod tests {
         assert!(engine.set_weights(PathWeights::uniform(1)).is_err());
         let n = engine.paths().len();
         assert!(engine.set_weights(PathWeights::uniform(n)).is_ok());
+    }
+
+    #[test]
+    fn set_weights_refuses_non_finite_and_negative_entries() {
+        let d = dataset();
+        let mut engine =
+            Distinct::prepare(&d.catalog, "Publish", "author", DistinctConfig::default()).unwrap();
+        let n = engine.paths().len();
+        let before = engine.weights().clone();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let mut resem = PathWeights::uniform(n);
+            resem.resem[0] = bad;
+            let mut walk = PathWeights::uniform(n);
+            walk.walk[n - 1] = bad;
+            for w in [resem, walk] {
+                assert!(
+                    matches!(engine.set_weights(w), Err(DistinctError::Config(_))),
+                    "{bad} accepted"
+                );
+                assert_eq!(engine.weights(), &before);
+            }
+        }
+        // Zero is a legal weight: learned weights are clamped there.
+        let mut zero = PathWeights::uniform(n);
+        zero.resem[0] = 0.0;
+        assert!(engine.set_weights(zero).is_ok());
+    }
+
+    #[test]
+    fn a_refused_model_import_leaves_the_engine_unchanged() {
+        let d = dataset();
+        let mut engine =
+            Distinct::prepare(&d.catalog, "Publish", "author", DistinctConfig::default()).unwrap();
+        let n = engine.paths().len();
+        let paths = engine.paths().descriptions.clone();
+        let model = |min_sim: f64, weights: PathWeights| {
+            let saved = SavedModel {
+                config: DistinctConfig {
+                    min_sim,
+                    measure: MeasureMode::RandomWalk,
+                    ..Default::default()
+                },
+                weights,
+                paths: paths.clone(),
+                resem_train_accuracy: 0.9,
+                walk_train_accuracy: 0.9,
+            };
+            serde_json::to_string(&saved).unwrap()
+        };
+        let negative = PathWeights {
+            resem: vec![-1.0; n],
+            ..PathWeights::uniform(n)
+        };
+        let cases = [
+            (
+                "weights for another path count",
+                model(0.5, PathWeights::uniform(n + 1)),
+            ),
+            ("negative weights", model(0.5, negative)),
+            ("NaN threshold", model(f64::NAN, PathWeights::uniform(n))),
+            ("negative threshold", model(-0.5, PathWeights::uniform(n))),
+        ];
+        let config = engine.config().clone();
+        let weights = engine.weights().clone();
+        for (what, json) in cases {
+            assert!(
+                matches!(engine.import_model(&json), Err(DistinctError::Config(_))),
+                "{what} accepted"
+            );
+            assert_eq!(engine.config().min_sim.to_bits(), config.min_sim.to_bits());
+            assert_eq!(engine.config().measure, config.measure, "{what}");
+            assert_eq!(engine.weights(), &weights, "{what}");
+        }
+        engine
+            .import_model(&model(0.5, PathWeights::uniform(n)))
+            .unwrap();
+        assert_eq!(engine.config().min_sim, 0.5);
+        assert_eq!(engine.config().measure, MeasureMode::RandomWalk);
     }
 
     #[test]

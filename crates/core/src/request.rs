@@ -208,10 +208,10 @@ impl<'a> ResolveRequest<'a> {
         self
     }
 
-    /// Make the run durable: stage checkpoints are committed into
-    /// `run_dir`, and a request re-issued over the same directory skips
-    /// completed stages and restarts the interrupted one from its last
-    /// committed chunk boundary. Consumed by
+    /// Make the run durable: the similarity tables and the final
+    /// clustering are committed into `run_dir`, and a request repeated
+    /// over the same directory skips the stages whose output is
+    /// committed. Consumed by
     /// [`crate::Distinct::resolve_durable`]; the plain
     /// [`crate::Distinct::resolve`] ignores it.
     pub fn resume(mut self, run_dir: &'a Path) -> Self {
@@ -251,6 +251,34 @@ impl<'a> ResolveRequest<'a> {
     /// Whether any must-link / cannot-link constraint is set.
     pub fn is_constrained(&self) -> bool {
         !self.must_link.is_empty() || !self.cannot_link.is_empty()
+    }
+
+    /// Why clustering cannot run this request at threshold `min_sim`: a
+    /// non-finite threshold, or a constraint pair that names a reference
+    /// out of range, links a reference with itself, or is both must-link
+    /// and cannot-link (the cases [`cluster::ConstrainedMerger::new`]
+    /// asserts on).
+    pub(crate) fn check(&self, min_sim: f64) -> Result<(), String> {
+        if !min_sim.is_finite() {
+            return Err(format!("min_sim must be finite, got {min_sim}"));
+        }
+        let n = self.refs.len();
+        let mut pairs = self.must_link.iter().chain(&self.cannot_link);
+        if let Some((a, b)) = pairs.find(|&&(a, b)| a >= n || b >= n || a == b) {
+            return Err(format!(
+                "constraint pair ({a}, {b}) must name two distinct references below {n}"
+            ));
+        }
+        let unordered = |&(a, b): &(usize, usize)| (a.min(b), a.max(b));
+        let cannot: std::collections::HashSet<_> = self.cannot_link.iter().map(unordered).collect();
+        if let Some((a, b)) = self
+            .must_link
+            .iter()
+            .find(|p| cannot.contains(&unordered(p)))
+        {
+            return Err(format!("pair ({a}, {b}) is both must-link and cannot-link"));
+        }
+        Ok(())
     }
 }
 

@@ -2,17 +2,21 @@
 //!
 //! [`Distinct::resolve`] computes everything in memory; a crash at 95% of
 //! a paper-scale run loses all of it. [`Distinct::resolve_durable`] runs
-//! the same three stages — profile fan-out, pairwise similarity matrix,
-//! agglomerative clustering — but commits an atomic, checksummed
-//! checkpoint into a **run directory** as each unit of work completes:
+//! the same batch pipeline — profile fan-out, pairwise similarity tables,
+//! agglomerative clustering — and commits an atomic, checksummed
+//! checkpoint into a **run directory** as each answer-bearing stage
+//! completes:
 //!
 //! ```text
 //! <run_dir>/
 //!   run.json           run manifest: format version + request fingerprint
-//!   profiles-<k>.ck    profiles of refs[k..k+len], one file per chunk
 //!   similarity.ck      the full pairwise leaf tables (stage 2 output)
 //!   clustering.ck      labels + merge history (the final answer)
 //! ```
+//!
+//! Profiles are not committed. They are a pure function of the catalog,
+//! the join-path set and the reference, and recomputing them (or finding
+//! them in the engine's profile cache) costs far less than encoding them.
 //!
 //! Every file is written with [`relstore::write_atomic`] (temp + rename,
 //! the sanctioned persistence primitive of lint D105) and framed like the
@@ -24,12 +28,11 @@
 //! fingerprint proves the directory belongs to this exact request (same
 //! references, threshold, constraints, weights, catalog), then completed
 //! stages are skipped — a committed `clustering.ck` returns immediately,
-//! a committed `similarity.ck` skips profiling entirely, and otherwise
-//! profiling restarts from the first chunk without a committed file.
-//! Because each stage's persisted output round-trips `f64`s exactly, a
-//! resumed run's partition is bit-identical to an uninterrupted one (the
-//! chaos sweep in `tests/resume_chaos.rs` proves this at every kill
-//! point).
+//! a committed `similarity.ck` skips profiling and the similarity stage,
+//! and otherwise the run starts again from profiles. Because each stage's
+//! persisted output round-trips `f64`s exactly, a resumed run's partition
+//! is bit-identical to an uninterrupted one (the chaos sweep in
+//! `tests/resume_chaos.rs` proves this at every kill point).
 //!
 //! Three robustness seams ride along:
 //!
@@ -38,19 +41,18 @@
 //!   deterministic, seeded jitter (the same splitmix64 recipe as the
 //!   fault injector, so schedules reproduce per seed);
 //! * **watchdog** — when [`RunOptions::stall_after`] is set, a
-//!   [`exec::Watchdog`] observes a heartbeat beaten at every chunk and
-//!   stage commit; silence trips the run with the typed
-//!   [`InterruptKind::Stalled`], degrading it like any other limit
+//!   [`exec::Watchdog`] observes a heartbeat beaten at every work charge
+//!   of every stage and at every commit; silence trips the run with the
+//!   typed [`InterruptKind::Stalled`], degrading it like any other limit
 //!   instead of hanging forever;
 //! * **memory budget** — when [`RunOptions::memory_budget_bytes`] is set
-//!   and resident memory exceeds it, the shared profile cache is evicted
-//!   (profiles are pure caches — always safe) and the chunk size shrinks,
-//!   trading commit frequency for peak footprint.
+//!   and resident memory exceeds it before the profile stage, the shared
+//!   profile cache is evicted once (profiles are pure caches — always
+//!   safe).
 
-use crate::checkpoint::{decode_profile, encode_profile, ProfileEntry};
-use crate::control::{InterruptKind, RunControl, Stage};
-use crate::features::{empty_profile, Profile};
-use crate::pipeline::{stage_stats, Degraded, Distinct, DistinctError, ResolveOutcome};
+use crate::checkpoint::{corrupt, Framing};
+use crate::control::{InterruptKind, RunControl};
+use crate::pipeline::{Distinct, DistinctError, ResolveOutcome};
 use crate::refcluster::DistinctMerger;
 use crate::request::{ExecReport, ResolveRequest};
 use crate::update::{UpdateReport, UpdateTuple};
@@ -59,20 +61,22 @@ use relstore::{fnv1a64, write_atomic, StdVfs, Vfs};
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Run-directory format version. Bumped whenever any persisted layout or
 /// payload schema changes shape; resuming a directory written by any
 /// other version fails with [`DistinctError::VersionMismatch`].
-pub const RUN_FORMAT_VERSION: u32 = 1;
+pub const RUN_FORMAT_VERSION: u32 = 2;
 
 /// Magic prefix of every run-directory file's header line; the numeric
 /// suffix is the format version.
 const RUN_MAGIC_PREFIX: &str = "DISTINCTRUN";
 
-/// Magic header line (prefix + format version).
-const RUN_MAGIC: &str = "DISTINCTRUN1";
+/// Every run-directory file is framed like the engine checkpoint.
+const RUN_FRAMING: Framing = Framing {
+    prefix: RUN_MAGIC_PREFIX,
+    version: RUN_FORMAT_VERSION,
+};
 
 const MANIFEST_FILE: &str = "run.json";
 const SIMILARITY_FILE: &str = "similarity.ck";
@@ -80,13 +84,12 @@ const CLUSTERING_FILE: &str = "clustering.ck";
 const STREAM_MANIFEST_FILE: &str = "stream.json";
 
 /// Tuning knobs of a durable run. The defaults suit test- to mid-scale
-/// runs; the benchmark ladder overrides `chunk_size` per rung.
+/// runs.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
-    /// References profiled (and committed) per chunk checkpoint.
+    /// Updates applied (and committed) per update-stream chunk
+    /// checkpoint. Durable resolves commit whole stages and ignore it.
     pub chunk_size: usize,
-    /// Floor the memory guard never shrinks the chunk size below.
-    pub min_chunk_size: usize,
     /// Transient I/O retries per operation (0 = fail fast, which the
     /// chaos kill sweeps use to make every injected fault fatal).
     pub max_retries: u32,
@@ -99,8 +102,8 @@ pub struct RunOptions {
     pub stall_after: Option<Duration>,
     /// Watchdog poll cadence (stall detection slack is one poll).
     pub watchdog_poll: Duration,
-    /// Evict the profile cache and shrink chunks when resident memory
-    /// exceeds this; `None` disables the guard.
+    /// Evict the profile cache once, before the profile stage, when
+    /// resident memory exceeds this; `None` disables the guard.
     pub memory_budget_bytes: Option<u64>,
 }
 
@@ -108,7 +111,6 @@ impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
             chunk_size: 256,
-            min_chunk_size: 16,
             max_retries: 3,
             backoff_base: Duration::from_millis(2),
             retry_seed: 2007,
@@ -124,9 +126,8 @@ impl Default for RunOptions {
 /// machinery had to work.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunReport {
-    /// References whose profiles were restored from chunk checkpoints.
-    pub profiles_restored: usize,
-    /// Profile chunk checkpoints committed by this run.
+    /// Checkpoint frames this run committed after the manifest:
+    /// `similarity.ck` and `clustering.ck`, so at most 2.
     pub chunks_committed: usize,
     /// Stage 2 was restored from `similarity.ck` (profiling skipped).
     pub similarity_restored: bool,
@@ -134,7 +135,8 @@ pub struct RunReport {
     pub clustering_restored: bool,
     /// Transient I/O retries performed across the whole run.
     pub io_retries: u64,
-    /// Times the memory guard evicted the profile cache.
+    /// Times the memory guard evicted the profile cache: 1 when resident
+    /// memory was over budget before the profile stage, else 0.
     pub memory_evictions: u32,
     /// The watchdog fired (the outcome will be degraded as `Stalled`).
     pub stalled: bool,
@@ -158,17 +160,6 @@ struct RunManifest {
     /// constraints, weights, measure/composite, catalog size, paths.
     fingerprint: String,
     refs: usize,
-    chunk: usize,
-}
-
-/// Profiles of `refs[start..start + entries.len()]`, one file per chunk.
-/// Keyed by range start, so resuming walks the chain of committed chunks
-/// from zero regardless of the chunk size they were written with.
-#[derive(Debug, Serialize, Deserialize)]
-struct ProfileChunk {
-    format: u32,
-    start: usize,
-    entries: Vec<ProfileEntry>,
 }
 
 /// Stage 2 output: the full pairwise leaf tables. JSON round-trips `f64`
@@ -181,20 +172,15 @@ struct SimilarityCk {
     dwalk: Vec<Vec<f64>>,
 }
 
-#[derive(Debug, Serialize, Deserialize)]
-struct MergeEntry {
-    a: usize,
-    b: usize,
-    similarity: f64,
-    size: usize,
-}
-
 /// The final answer: labels plus the merge history that produced them.
+/// Merge `k` is `(a, b, similarity, size)` and joins clusters `a` and `b`
+/// into cluster `n + k`. The similarity is kept as its IEEE-754 bits: a
+/// must-link merge happens at `+inf`, which a JSON number cannot carry.
 #[derive(Debug, Serialize, Deserialize)]
 struct ClusteringCk {
     format: u32,
     labels: Vec<usize>,
-    merges: Vec<MergeEntry>,
+    merges: Vec<(usize, usize, u64, usize)>,
 }
 
 /// On-disk manifest claiming a run directory for one exact update stream
@@ -239,79 +225,6 @@ pub struct UpdateStreamOutcome {
     pub chunks_replayed: usize,
     /// Transient I/O retries across the stream.
     pub io_retries: u64,
-}
-
-fn corrupt(path: &Path, reason: impl Into<String>) -> DistinctError {
-    DistinctError::CorruptCheckpoint {
-        path: path.display().to_string(),
-        reason: reason.into(),
-    }
-}
-
-/// Frame a JSON payload exactly like the engine checkpoint: magic line,
-/// checksum line, payload.
-fn frame(json: &str) -> String {
-    format!("{RUN_MAGIC}\n{:016x}\n{json}", fnv1a64(json.as_bytes()))
-}
-
-/// Verify and strip the frame. A well-formed magic with a different
-/// version suffix is a foreign-build artifact ([`DistinctError::VersionMismatch`]);
-/// anything else that fails is corruption.
-fn unframe<'a>(path: &Path, bytes: &'a [u8]) -> Result<&'a str, DistinctError> {
-    let text =
-        std::str::from_utf8(bytes).map_err(|_| corrupt(path, "run file is not valid UTF-8"))?;
-    let mut lines = text.splitn(3, '\n');
-    let magic = lines.next().unwrap_or("");
-    if magic != RUN_MAGIC {
-        if let Some(found) = magic
-            .strip_prefix(RUN_MAGIC_PREFIX)
-            .and_then(|v| v.parse::<u32>().ok())
-        {
-            return Err(DistinctError::VersionMismatch {
-                path: path.display().to_string(),
-                found,
-                expected: RUN_FORMAT_VERSION,
-            });
-        }
-        return Err(corrupt(
-            path,
-            format!("bad magic `{magic}` (expected {RUN_MAGIC})"),
-        ));
-    }
-    let declared = lines
-        .next()
-        .ok_or_else(|| corrupt(path, "missing checksum line"))?;
-    let json = lines
-        .next()
-        .ok_or_else(|| corrupt(path, "missing payload"))?;
-    let actual = format!("{:016x}", fnv1a64(json.as_bytes()));
-    if declared != actual {
-        return Err(corrupt(
-            path,
-            format!("checksum mismatch: header {declared}, payload {actual}"),
-        ));
-    }
-    Ok(json)
-}
-
-/// Parse an unframed payload, mapping parse failures to corruption and a
-/// foreign `format` field to the typed version mismatch.
-fn parse_payload<T: Deserialize>(
-    path: &Path,
-    json: &str,
-    format_of: impl Fn(&T) -> u32,
-) -> Result<T, DistinctError> {
-    let value: T = serde_json::from_str(json)
-        .map_err(|e| corrupt(path, format!("unparseable payload: {e}")))?;
-    let found = format_of(&value);
-    if found != RUN_FORMAT_VERSION {
-        return Err(DistinctError::VersionMismatch {
-            path: path.display().to_string(),
-            found,
-            expected: RUN_FORMAT_VERSION,
-        });
-    }
-    Ok(value)
 }
 
 /// Retry-with-backoff state shared across every I/O operation of a run.
@@ -378,19 +291,24 @@ impl Retry {
     }
 }
 
-/// Read a run file, treating "not there yet" as a normal resume state.
-fn read_optional(
+/// Read and decode one run file, treating "not there yet" as a normal
+/// resume state.
+fn read_framed<T: Deserialize>(
     vfs: &mut dyn Vfs,
     path: &Path,
     retry: &mut Retry,
-) -> Result<Option<Vec<u8>>, DistinctError> {
-    retry.run(&format!("read {}", path.display()), || {
+    format_of: impl Fn(&T) -> u32,
+) -> Result<Option<T>, DistinctError> {
+    let bytes = retry.run(&format!("read {}", path.display()), || {
         match vfs.read(path) {
             Ok(bytes) => Ok(Some(bytes)),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e),
         }
-    })
+    })?;
+    bytes
+        .map(|bytes| RUN_FRAMING.unframe(path, &bytes, format_of))
+        .transpose()
 }
 
 /// Serialize, frame, and atomically commit one run file.
@@ -407,9 +325,48 @@ fn write_framed<T: Serialize>(
             reason: e.to_string(),
         })
     })?;
-    let blob = frame(&json);
+    let blob = RUN_FRAMING.frame(&json);
     retry.run(&format!("write {name}"), || {
         write_atomic(vfs, dir, name, blob.as_bytes())
+    })
+}
+
+/// Rebuild a committed `clustering.ck` over `n` references. Merge `k`
+/// creates cluster `n + k`, so it must join two distinct clusters below
+/// that id, neither merged before; and the labels must be the history's
+/// own cut. Anything else is corruption, refused before
+/// [`Dendrogram::cut`] could index out of bounds.
+fn restore_clustering(
+    path: &Path,
+    ck: ClusteringCk,
+    n: usize,
+) -> Result<Clustering, DistinctError> {
+    let mut merged = vec![false; n + ck.merges.len()];
+    let mut dendrogram = Dendrogram::new(n);
+    for (k, &(a, b, similarity, size)) in ck.merges.iter().enumerate() {
+        let into = n + k;
+        if a == b || a >= into || b >= into || merged[a] || merged[b] {
+            return Err(corrupt(
+                path,
+                format!("merge {k} joins clusters {a} and {b} into {into}: not a merge history"),
+            ));
+        }
+        merged[a] = true;
+        merged[b] = true;
+        dendrogram.record(a, b, f64::from_bits(similarity), size);
+    }
+    if ck.labels != dendrogram.cut(f64::NEG_INFINITY) {
+        return Err(corrupt(
+            path,
+            format!(
+                "labels of {} references are not the cut of the {n}-leaf merges",
+                ck.labels.len()
+            ),
+        ));
+    }
+    Ok(Clustering {
+        labels: ck.labels,
+        dendrogram,
     })
 }
 
@@ -420,27 +377,7 @@ impl Distinct {
     /// measure/composite modes, the join-path set, and the catalog size.
     fn run_fingerprint(&self, req: &ResolveRequest<'_>, min_sim: f64) -> String {
         use std::fmt::Write as _;
-        let mut key = String::new();
-        let _ = write!(
-            key,
-            "run-v{RUN_FORMAT_VERSION};min_sim={:016x};measure={:?};composite={:?};tuples={};",
-            min_sim.to_bits(),
-            self.config().measure,
-            self.config().composite,
-            self.catalog().tuple_count(),
-        );
-        for d in &self.paths().descriptions {
-            key.push_str(d);
-            key.push(';');
-        }
-        for w in self
-            .weights()
-            .resem
-            .iter()
-            .chain(self.weights().walk.iter())
-        {
-            let _ = write!(key, "{:016x},", w.to_bits());
-        }
+        let mut key = self.engine_key("run", min_sim);
         for r in req.refs {
             let _ = write!(key, "r{}:{};", r.rel.0, r.tid.0);
         }
@@ -453,11 +390,34 @@ impl Distinct {
         format!("{:016x}", fnv1a64(key.as_bytes()))
     }
 
-    /// Durable [`Distinct::resolve`]: same stages, same answer, but every
-    /// completed unit of work is committed into the request's run
-    /// directory ([`ResolveRequest::resume`]), so a crashed or degraded
-    /// run restarts from its last committed chunk instead of from zero.
-    /// Uses the real filesystem and default [`RunOptions`].
+    /// The start of a fingerprint key of kind `kind`: what shapes every
+    /// answer of this engine at threshold `min_sim` — the catalog size,
+    /// the measure/composite modes, the join-path set, and the installed
+    /// weights.
+    fn engine_key(&self, kind: &str, min_sim: f64) -> String {
+        use std::fmt::Write as _;
+        let mut key = format!(
+            "{kind}-v{RUN_FORMAT_VERSION};tuples={};min_sim={:016x};measure={:?};composite={:?};",
+            self.catalog().tuple_count(),
+            min_sim.to_bits(),
+            self.config().measure,
+            self.config().composite,
+        );
+        for d in &self.paths().descriptions {
+            key.push_str(d);
+            key.push(';');
+        }
+        for w in self.weights().resem.iter().chain(&self.weights().walk) {
+            let _ = write!(key, "{:016x},", w.to_bits());
+        }
+        key
+    }
+
+    /// Durable [`Distinct::resolve`]: same pipeline, same answer, but the
+    /// similarity tables and the final clustering are committed into the
+    /// request's run directory ([`ResolveRequest::resume`]), so a crashed
+    /// or degraded run restarts from its last committed stage instead of
+    /// from zero. Uses the real filesystem and default [`RunOptions`].
     pub fn resolve_durable(
         &self,
         req: &ResolveRequest<'_>,
@@ -466,7 +426,10 @@ impl Distinct {
     }
 
     /// [`Distinct::resolve_durable`] through an explicit [`Vfs`] (the
-    /// fault-injectable entry point) with explicit [`RunOptions`].
+    /// fault-injectable entry point) with explicit [`RunOptions`]. A
+    /// request clustering cannot run — a non-finite threshold, or a
+    /// malformed or contradictory constraint pair — is refused with
+    /// [`DistinctError::Config`] before anything is written.
     pub fn resolve_durable_with(
         &self,
         req: &ResolveRequest<'_>,
@@ -478,12 +441,11 @@ impl Distinct {
                 "resolve_durable needs a run directory (ResolveRequest::resume)".into(),
             )
         })?;
-        let refs = req.refs;
-        let n = refs.len();
+        let n = req.refs.len();
         let min_sim = req.min_sim.unwrap_or(self.config().min_sim);
+        req.check(min_sim).map_err(DistinctError::Config)?;
         let unlimited = RunControl::new();
         let ctl = req.control.unwrap_or(&unlimited);
-        let executor = self.executor_for(req.threads);
         let mut retry = Retry::new(opts);
         let mut report = RunReport::default();
 
@@ -494,24 +456,19 @@ impl Distinct {
         // and must not be mixed into this one.
         let fingerprint = self.run_fingerprint(req, min_sim);
         let manifest_path = run_dir.join(MANIFEST_FILE);
-        match read_optional(vfs, &manifest_path, &mut retry)? {
-            Some(bytes) => {
-                let json = unframe(&manifest_path, &bytes)?;
-                let manifest: RunManifest =
-                    parse_payload(&manifest_path, json, |m: &RunManifest| m.format)?;
-                if manifest.fingerprint != fingerprint || manifest.refs != n {
-                    return Err(corrupt(
-                        &manifest_path,
-                        "run directory belongs to a different resolution (fingerprint mismatch)",
-                    ));
-                }
+        match read_framed(vfs, &manifest_path, &mut retry, |m: &RunManifest| m.format)? {
+            Some(m) if m.fingerprint == fingerprint && m.refs == n => {}
+            Some(_) => {
+                return Err(corrupt(
+                    &manifest_path,
+                    "run directory belongs to a different resolution (fingerprint mismatch)",
+                ))
             }
             None => {
                 let manifest = RunManifest {
                     format: RUN_FORMAT_VERSION,
-                    fingerprint: fingerprint.clone(),
+                    fingerprint,
                     refs: n,
-                    chunk: opts.chunk_size.max(1),
                 };
                 write_framed(vfs, run_dir, MANIFEST_FILE, &manifest, &mut retry)?;
             }
@@ -520,31 +477,15 @@ impl Distinct {
         // Fast path: the run already finished — return its committed
         // answer without touching a single profile.
         let clustering_path = run_dir.join(CLUSTERING_FILE);
-        if let Some(bytes) = read_optional(vfs, &clustering_path, &mut retry)? {
-            let json = unframe(&clustering_path, &bytes)?;
-            let ck: ClusteringCk =
-                parse_payload(&clustering_path, json, |c: &ClusteringCk| c.format)?;
-            if ck.labels.len() != n {
-                return Err(corrupt(
-                    &clustering_path,
-                    format!(
-                        "labels cover {} references, request has {n}",
-                        ck.labels.len()
-                    ),
-                ));
-            }
-            let mut dendrogram = Dendrogram::new(n);
-            for m in &ck.merges {
-                dendrogram.record(m.a, m.b, m.similarity, m.size);
-            }
+        if let Some(ck) = read_framed(vfs, &clustering_path, &mut retry, |c: &ClusteringCk| {
+            c.format
+        })? {
+            let clustering = restore_clustering(&clustering_path, ck, n)?;
             report.clustering_restored = true;
             report.io_retries = retry.attempts;
             return Ok(DurableOutcome {
                 outcome: ResolveOutcome {
-                    clustering: Clustering {
-                        labels: ck.labels,
-                        dendrogram,
-                    },
+                    clustering,
                     degraded: None,
                     exec: ExecReport {
                         peak_rss_bytes: crate::control::peak_rss_bytes().unwrap_or(0),
@@ -555,257 +496,84 @@ impl Distinct {
             });
         }
 
-        // From here real work can run long: arm the watchdog. Every chunk
-        // or stage commit beats the heartbeat; silence trips the control
-        // with the typed Stalled cause, which the stages observe through
-        // their ordinary guards.
-        let heartbeat = exec::Heartbeat::new();
-        let watchdog = opts.stall_after.map(|stall| {
-            let handle = ctl.trip_handle();
-            exec::Watchdog::spawn(heartbeat.clone(), stall, opts.watchdog_poll, move || {
-                handle.interrupt(InterruptKind::Stalled);
-            })
-        });
-
-        let mut trip: Option<(Stage, InterruptKind)> = None;
-        let mut profile_stats = exec::ParStats::default();
-        let mut profile_logical = 0u64;
-        let mut profiles_computed = n;
-        let guard = ctl.shared_guard();
-
-        // Stage 2 restored? Then stage 1 is unnecessary: clustering only
-        // needs the similarity tables.
+        // Committed tables make profiles and the similarity stage
+        // unnecessary: clustering only needs the tables.
         let similarity_path = run_dir.join(SIMILARITY_FILE);
-        let mut matrix_stats = exec::ParStats::default();
-        let mut similarity_logical = 0u64;
-        // A similarity stage restored from its checkpoint never ran the
-        // kernel engine here, so its counters stay zero.
-        let mut pair_counters = crate::refcluster::PairCounters::default();
-        let merger: Option<DistinctMerger> = match read_optional(vfs, &similarity_path, &mut retry)?
-        {
-            Some(bytes) => {
-                let json = unframe(&similarity_path, &bytes)?;
-                let ck: SimilarityCk =
-                    parse_payload(&similarity_path, json, |c: &SimilarityCk| c.format)?;
+        let restored = match read_framed(vfs, &similarity_path, &mut retry, |c: &SimilarityCk| {
+            c.format
+        })? {
+            Some(ck) => {
                 if ck.n != n {
                     return Err(corrupt(
                         &similarity_path,
                         format!("tables cover {} references, request has {n}", ck.n),
                     ));
                 }
-                let restored = DistinctMerger::from_tables(
+                let tables = DistinctMerger::from_tables(
                     ck.resem,
                     ck.dwalk,
                     self.config().measure,
                     self.config().composite,
-                )
-                .ok_or_else(|| corrupt(&similarity_path, "similarity tables are not square"))?;
-                report.similarity_restored = true;
-                heartbeat.beat();
-                Some(restored)
+                );
+                Some(tables.ok_or_else(|| corrupt(&similarity_path, "tables are not square"))?)
             }
-            None => {
-                // Stage 1: profiles, chunk by chunk. Committed chunks
-                // are restored; missing ones are computed and
-                // committed before moving on, so a kill at any point
-                // loses at most one chunk of work.
-                let n_paths = self.paths().len();
-                let mut profiles: Vec<Arc<Profile>> = Vec::with_capacity(n);
-                let mut chunk = opts.chunk_size.max(1);
-                let logical0 = ctl.spent();
-                // Hoisted label buffer, rewritten per chunk instead of
-                // reallocated (lint D110).
-                use std::fmt::Write as _;
-                let mut name = String::new();
-                while profiles.len() < n {
-                    let pos = profiles.len();
-                    if let Some(budget) = opts.memory_budget_bytes {
-                        let over = crate::control::current_rss_bytes()
-                            .map(|rss| rss > budget)
-                            .unwrap_or(false);
-                        if over {
-                            self.evict_profiles();
-                            chunk = (chunk / 2).max(opts.min_chunk_size.max(1)).min(chunk);
-                            report.memory_evictions += 1;
-                        }
-                    }
-                    name.clear();
-                    let _ = write!(name, "profiles-{pos}.ck");
-                    let chunk_path = run_dir.join(&name);
-                    if let Some(bytes) = read_optional(vfs, &chunk_path, &mut retry)? {
-                        let json = unframe(&chunk_path, &bytes)?;
-                        let ck: ProfileChunk =
-                            parse_payload(&chunk_path, json, |c: &ProfileChunk| c.format)?;
-                        if ck.start != pos || ck.entries.is_empty() || pos + ck.entries.len() > n {
-                            return Err(corrupt(
-                                &chunk_path,
-                                format!(
-                                    "chunk claims refs {}..{} of {n}, expected to start at {pos}",
-                                    ck.start,
-                                    ck.start + ck.entries.len()
-                                ),
-                            ));
-                        }
-                        for (i, entry) in ck.entries.iter().enumerate() {
-                            let profile = decode_profile(entry, n_paths).ok_or_else(|| {
-                                corrupt(&chunk_path, "profile does not match the engine's path set")
-                            })?;
-                            if profile.reference != refs[pos + i] {
-                                return Err(corrupt(
-                                    &chunk_path,
-                                    format!("profile {i} is for a different reference"),
-                                ));
-                            }
-                            let profile = Arc::new(profile);
-                            self.cache_insert(refs[pos + i], Arc::clone(&profile));
-                            profiles.push(profile);
-                        }
-                        report.profiles_restored += ck.entries.len();
-                        heartbeat.beat();
-                        continue;
-                    }
-                    // Compute and commit this chunk.
-                    let end = (pos + chunk).min(n);
-                    let (chunk_profiles, stats) =
-                        self.profile_fanout(&refs[pos..end], &executor, ctl);
-                    profile_stats = profile_stats.merge(stats);
-                    let real = chunk_profiles.iter().filter(|p| !p.placeholder).count();
-                    if real < end - pos {
-                        // A limit tripped mid-chunk: commit nothing
-                        // from it (a committed chunk must be fully
-                        // real), keep what we have, degrade.
-                        let kind = ctl.status().unwrap_or(InterruptKind::Cancelled);
-                        trip = Some((Stage::Profiles, kind));
-                        profiles.extend(chunk_profiles);
-                        break;
-                    }
-                    // distinct-lint: allow(D110, reason="entries are moved into the committed chunk frame below; the buffer is exact-sized by the iterator and cannot be reused across commits")
-                    let entries = chunk_profiles.iter().map(|p| encode_profile(p)).collect();
-                    let ck = ProfileChunk {
-                        format: RUN_FORMAT_VERSION,
-                        start: pos,
-                        entries,
-                    };
-                    write_framed(vfs, run_dir, &name, &ck, &mut retry)?;
-                    report.chunks_committed += 1;
-                    profiles.extend(chunk_profiles);
-                    heartbeat.beat();
-                }
-                // A degraded run still resolves every reference:
-                // whatever was cut off stays a zero-mass placeholder
-                // (and therefore a singleton), exactly like resolve().
-                for &r in &refs[profiles.len()..] {
-                    profiles.push(Arc::new(empty_profile(self.paths(), r)));
-                }
-                profile_logical = ctl.spent().saturating_sub(logical0);
-                profiles_computed = profiles.iter().filter(|p| !p.placeholder).count();
-
-                // Stage 2: the pairwise similarity matrix.
-                let logical1 = ctl.spent();
-                let (built, stats, counters) =
-                    self.similarity_stage(&profiles, &req.resemblance, &executor, &guard);
-                matrix_stats = stats;
-                pair_counters = counters;
-                similarity_logical = ctl.spent().saturating_sub(logical1);
-                if let Some(inner) = &built {
-                    if trip.is_none() {
-                        let (resem, dwalk) = inner.to_tables();
-                        let ck = SimilarityCk {
-                            format: RUN_FORMAT_VERSION,
-                            n,
-                            resem: resem.to_vec(),
-                            dwalk: dwalk.to_vec(),
-                        };
-                        write_framed(vfs, run_dir, SIMILARITY_FILE, &ck, &mut retry)?;
-                        heartbeat.beat();
-                    }
-                }
-                built
-            }
+            None => None,
         };
-
-        // Stage 3: agglomerative clustering, committed only when fully
-        // complete — a partial merge sequence is recomputable for free
-        // from the committed similarity tables.
-        // distinct-lint: allow(D004, reason="wall time feeds ExecReport stage timings only; control flow stays with RunControl")
-        let clock = Instant::now();
-        let logical2 = ctl.spent();
-        let (partial, mut cluster_stats) = match merger {
-            Some(inner) => self.clustering_stage(
-                inner,
-                n,
-                min_sim,
-                &req.must_link,
-                &req.cannot_link,
-                &executor,
-                &guard,
-            ),
-            None => {
-                if trip.is_none() {
-                    let kind = ctl.status().unwrap_or(InterruptKind::Cancelled);
-                    trip = Some((Stage::SimilarityMatrix, kind));
-                }
-                Self::singleton_partition(n)
-            }
-        };
-        cluster_stats.wall = clock.elapsed();
-        let clustering_logical = ctl.spent().saturating_sub(logical2);
-        if !partial.completed && trip.is_none() {
-            let kind = ctl.status().unwrap_or(InterruptKind::Cancelled);
-            trip = Some((Stage::Clustering, kind));
+        report.similarity_restored = restored.is_some();
+        let over = |budget| crate::control::current_rss_bytes().is_some_and(|rss| rss > budget);
+        if restored.is_none() && opts.memory_budget_bytes.is_some_and(over) {
+            self.evict_profiles();
+            report.memory_evictions = 1;
         }
-        if trip.is_none() && partial.completed {
-            let merges: Vec<MergeEntry> = partial
-                .clustering
-                .dendrogram
-                .merges()
-                .iter()
-                .map(|m| MergeEntry {
-                    a: m.a,
-                    b: m.b,
-                    similarity: m.similarity,
-                    size: m.size,
-                })
-                .collect();
+
+        // From here real work can run long: arm the watchdog, unless the
+        // control has already tripped (every stage then stops at its first
+        // charge, so nothing can stall). Every work charge and every
+        // commit beats the heartbeat; silence trips the control with the
+        // typed Stalled cause, which the stages observe through their
+        // ordinary guards.
+        let heartbeat = exec::Heartbeat::new();
+        let stall_after = opts.stall_after.filter(|_| ctl.status().is_none());
+        let watchdog = stall_after.map(|stall| {
+            let handle = ctl.trip_handle();
+            exec::Watchdog::spawn(heartbeat.clone(), stall, opts.watchdog_poll, move || {
+                handle.interrupt(InterruptKind::Stalled);
+            })
+        });
+        let outcome = self.resolve_staged(req, ctl, Some(&heartbeat), restored, |tables| {
+            let (resem, dwalk) = tables.to_tables();
+            let ck = SimilarityCk {
+                format: RUN_FORMAT_VERSION,
+                n,
+                resem: resem.to_vec(),
+                dwalk: dwalk.to_vec(),
+            };
+            write_framed(vfs, run_dir, SIMILARITY_FILE, &ck, &mut retry)?;
+            report.chunks_committed += 1;
+            heartbeat.beat();
+            Ok::<(), DistinctError>(())
+        })?;
+
+        // The answer is committed only when complete: a partial merge
+        // sequence is recomputable for free from the committed tables.
+        if outcome.is_complete() {
+            let merges = outcome.clustering.dendrogram.merges().iter();
             let ck = ClusteringCk {
                 format: RUN_FORMAT_VERSION,
-                labels: partial.clustering.labels.clone(),
-                merges,
+                labels: outcome.clustering.labels.clone(),
+                merges: merges
+                    .map(|m| (m.a, m.b, m.similarity.to_bits(), m.size))
+                    .collect(),
             };
             write_framed(vfs, run_dir, CLUSTERING_FILE, &ck, &mut retry)?;
+            report.chunks_committed += 1;
             heartbeat.beat();
         }
 
-        report.stalled = match watchdog {
-            Some(dog) => dog.stop(),
-            None => false,
-        };
+        report.stalled = watchdog.is_some_and(exec::Watchdog::stop);
         report.io_retries = retry.attempts;
-        let degraded = trip.map(|(stage, kind)| Degraded {
-            stage,
-            kind,
-            profiles_computed,
-            refs_total: n,
-            clustering_completed: partial.completed,
-        });
         Ok(DurableOutcome {
-            outcome: ResolveOutcome {
-                clustering: partial.clustering,
-                degraded,
-                exec: ExecReport {
-                    profiles: stage_stats(profile_stats, profile_logical),
-                    similarity: stage_stats(matrix_stats, similarity_logical),
-                    clustering: stage_stats(cluster_stats, clustering_logical),
-                    peak_rss_bytes: crate::control::peak_rss_bytes().unwrap_or(0),
-                    pairs_total: pair_counters.total,
-                    pairs_pruned: pair_counters.pruned,
-                    pairs_exact: pair_counters.exact,
-                    pairs_cached: pair_counters.cached,
-                    pairs_dirty: 0,
-                    names_affected: 0,
-                    arena_rows_interned: pair_counters.interned,
-                },
-            },
+            outcome,
             run: report,
         })
     }
@@ -821,28 +589,8 @@ impl Distinct {
                 reason: e.to_string(),
             })
         })?;
-        let mut key = String::new();
-        let _ = write!(
-            key,
-            "stream-v{RUN_FORMAT_VERSION};tuples={};min_sim={:016x};measure={:?};composite={:?};log={:016x};",
-            self.catalog().tuple_count(),
-            self.config().min_sim.to_bits(),
-            self.config().measure,
-            self.config().composite,
-            fnv1a64(log.as_bytes()),
-        );
-        for d in &self.paths().descriptions {
-            key.push_str(d);
-            key.push(';');
-        }
-        for w in self
-            .weights()
-            .resem
-            .iter()
-            .chain(self.weights().walk.iter())
-        {
-            let _ = write!(key, "{:016x},", w.to_bits());
-        }
+        let mut key = self.engine_key("stream", self.config().min_sim);
+        let _ = write!(key, "log={:016x};", fnv1a64(log.as_bytes()));
         Ok(format!("{:016x}", fnv1a64(key.as_bytes())))
     }
 
@@ -886,18 +634,15 @@ impl Distinct {
         // chunk chain regardless of the options it was resumed with.
         let fingerprint = self.stream_fingerprint(updates)?;
         let manifest_path = run_dir.join(STREAM_MANIFEST_FILE);
-        let chunk = match read_optional(vfs, &manifest_path, &mut retry)? {
-            Some(bytes) => {
-                let json = unframe(&manifest_path, &bytes)?;
-                let manifest: StreamManifest =
-                    parse_payload(&manifest_path, json, |m: &StreamManifest| m.format)?;
-                if manifest.fingerprint != fingerprint || manifest.updates != updates.len() {
-                    return Err(corrupt(
-                        &manifest_path,
-                        "run directory belongs to a different update stream (fingerprint mismatch)",
-                    ));
-                }
-                manifest.chunk.max(1)
+        let chunk = match read_framed(vfs, &manifest_path, &mut retry, |m: &StreamManifest| {
+            m.format
+        })? {
+            Some(m) if m.fingerprint == fingerprint && m.updates == updates.len() => m.chunk.max(1),
+            Some(_) => {
+                return Err(corrupt(
+                    &manifest_path,
+                    "run directory belongs to a different update stream (fingerprint mismatch)",
+                ))
             }
             None => {
                 let chunk = opts.chunk_size.max(1);
@@ -921,9 +666,7 @@ impl Distinct {
             let end = (start + chunk).min(updates.len());
             let name = format!("updates-{start}.ck");
             let path = run_dir.join(&name);
-            if let Some(bytes) = read_optional(vfs, &path, &mut retry)? {
-                let json = unframe(&path, &bytes)?;
-                let ck: UpdateChunkCk = parse_payload(&path, json, |c: &UpdateChunkCk| c.format)?;
+            if let Some(ck) = read_framed(vfs, &path, &mut retry, |c: &UpdateChunkCk| c.format)? {
                 if ck.start != start || ck.len != end - start {
                     return Err(corrupt(
                         &path,
@@ -1030,7 +773,6 @@ mod tests {
 
     fn fast_opts() -> RunOptions {
         RunOptions {
-            chunk_size: 8,
             backoff_base: Duration::from_micros(100),
             ..Default::default()
         }
@@ -1039,6 +781,16 @@ mod tests {
     fn assert_same(a: &Clustering, b: &Clustering) {
         assert_eq!(a.labels, b.labels);
         assert_eq!(a.dendrogram.merges(), b.dendrogram.merges());
+    }
+
+    /// The run directory's file names, sorted.
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
     }
 
     #[test]
@@ -1056,24 +808,20 @@ mod tests {
             .unwrap();
         assert!(first.outcome.is_complete());
         assert_same(&first.outcome.clustering, &plain);
-        assert_eq!(first.run.chunks_committed, 3, "23 refs / chunks of 8");
+        assert_eq!(first.run.chunks_committed, 2, "similarity + clustering");
         assert!(!first.run.similarity_restored);
-        for f in [
-            "run.json",
-            "profiles-0.ck",
-            "profiles-8.ck",
-            "profiles-16.ck",
-            "similarity.ck",
-            "clustering.ck",
-        ] {
-            assert!(dir.path().join(f).exists(), "missing {f}");
-        }
+        assert_eq!(
+            listing(dir.path()),
+            ["clustering.ck", "run.json", "similarity.ck"],
+            "the answer is committed, the profiles are not"
+        );
 
         // Resume level 0: the committed answer comes straight back.
         let again = e
             .resolve_durable_with(&req, &mut StdVfs, &fast_opts())
             .unwrap();
         assert!(again.run.clustering_restored);
+        assert_eq!(again.run.chunks_committed, 0);
         assert_same(&again.outcome.clustering, &plain);
 
         // Resume level 1: clustering recomputes from committed tables —
@@ -1083,21 +831,61 @@ mod tests {
             .resolve_durable_with(&req, &mut StdVfs, &fast_opts())
             .unwrap();
         assert!(from_tables.run.similarity_restored);
-        assert_eq!(from_tables.run.profiles_restored, 0);
+        assert_eq!(from_tables.outcome.exec.profiles.tasks, 0);
+        assert_eq!(from_tables.run.chunks_committed, 1);
         assert_same(&from_tables.outcome.clustering, &plain);
         assert!(dir.path().join("clustering.ck").exists(), "recommitted");
 
-        // Resume level 2: profiles restore from chunks, stages 2 and 3
-        // recompute — still bit-identical.
+        // Resume level 2: a cold engine recomputes every profile, then
+        // stages 2 and 3 — still bit-identical.
         std::fs::remove_file(dir.path().join("clustering.ck")).unwrap();
         std::fs::remove_file(dir.path().join("similarity.ck")).unwrap();
-        let from_chunks = e
+        let cold = engine(&d);
+        let recomputed = cold
             .resolve_durable_with(&req, &mut StdVfs, &fast_opts())
             .unwrap();
-        assert!(!from_chunks.run.similarity_restored);
-        assert_eq!(from_chunks.run.profiles_restored, refs.len());
-        assert_eq!(from_chunks.run.chunks_committed, 0);
-        assert_same(&from_chunks.outcome.clustering, &plain);
+        assert!(!recomputed.run.similarity_restored);
+        assert_eq!(recomputed.outcome.exec.profiles.tasks, refs.len());
+        assert_eq!(recomputed.run.chunks_committed, 2);
+        assert_same(&recomputed.outcome.clustering, &plain);
+    }
+
+    #[test]
+    fn constrained_run_resumes_its_committed_answer_bit_identically() {
+        let d = dataset();
+        let e = engine(&d);
+        let refs = e.references_of("Wei Wang");
+        let must = [(0, refs.len() - 1), (3, 7)];
+        let cannot = [(1, 2)];
+        let constrained = || {
+            ResolveRequest::new(&refs)
+                .must_link(&must)
+                .cannot_link(&cannot)
+        };
+        let plain = e.resolve(&constrained()).clustering;
+        // A must-link merge happens at +inf, which a JSON number cannot
+        // carry.
+        let bits = |c: &Clustering| -> Vec<u64> {
+            let merges = c.dendrogram.merges().iter();
+            merges.map(|m| m.similarity.to_bits()).collect()
+        };
+        assert!(bits(&plain).contains(&f64::INFINITY.to_bits()));
+
+        let dir = TempDir::new("constrained");
+        let req = constrained().resume(dir.path());
+        let first = e
+            .resolve_durable_with(&req, &mut StdVfs, &fast_opts())
+            .unwrap();
+        assert!(first.outcome.is_complete());
+        assert_same(&first.outcome.clustering, &plain);
+
+        // Resume level 0 returns the committed answer, +inf merges and all.
+        let again = e
+            .resolve_durable_with(&req, &mut StdVfs, &fast_opts())
+            .unwrap();
+        assert!(again.run.clustering_restored);
+        assert_same(&again.outcome.clustering, &plain);
+        assert_eq!(bits(&again.outcome.clustering), bits(&plain));
     }
 
     #[test]
@@ -1107,29 +895,32 @@ mod tests {
         let refs = e.references_of("Wei Wang");
         let expected = engine(&d).resolve(&ResolveRequest::new(&refs)).clustering;
 
-        let dir = TempDir::new("kill");
-        let req = ResolveRequest::new(&refs).resume(dir.path());
-        // Kill the run at its third write, with retries disabled so the
-        // injected fault is fatal.
-        let mut vfs = FaultyVfs::new(FaultPlan::fail_nth_write(3));
-        let opts = RunOptions {
-            max_retries: 0,
-            ..fast_opts()
-        };
-        let err = e
-            .resolve_durable_with(&req, &mut vfs, &opts)
-            .expect_err("injected write failure must surface");
-        assert!(matches!(err, DistinctError::Store(_)), "got {err}");
+        // Kill each run at one write, with retries disabled so the
+        // injected fault is fatal: #2 is `similarity.ck`, #3 is
+        // `clustering.ck`.
+        for (nth, tables_survive) in [(2, false), (3, true)] {
+            let dir = TempDir::new(&format!("kill_{nth}"));
+            let req = ResolveRequest::new(&refs).resume(dir.path());
+            let mut vfs = FaultyVfs::new(FaultPlan::fail_nth_write(nth));
+            let opts = RunOptions {
+                max_retries: 0,
+                ..fast_opts()
+            };
+            let err = e
+                .resolve_durable_with(&req, &mut vfs, &opts)
+                .expect_err("injected write failure must surface");
+            assert!(matches!(err, DistinctError::Store(_)), "got {err}");
 
-        // A brand-new engine (cold cache) resumes the directory and lands
-        // on the identical partition.
-        let cold = engine(&d);
-        let resumed = cold
-            .resolve_durable_with(&req, &mut StdVfs, &fast_opts())
-            .unwrap();
-        assert!(resumed.outcome.is_complete());
-        assert!(resumed.run.profiles_restored > 0, "committed chunk reused");
-        assert_same(&resumed.outcome.clustering, &expected);
+            // A brand-new engine (cold cache) resumes the directory and
+            // lands on the identical partition.
+            let cold = engine(&d);
+            let resumed = cold
+                .resolve_durable_with(&req, &mut StdVfs, &fast_opts())
+                .unwrap();
+            assert!(resumed.outcome.is_complete());
+            assert_eq!(resumed.run.similarity_restored, tables_survive);
+            assert_same(&resumed.outcome.clustering, &expected);
+        }
     }
 
     #[test]
@@ -1151,7 +942,7 @@ mod tests {
     }
 
     #[test]
-    fn degraded_run_commits_its_progress_and_an_unlimited_resume_completes() {
+    fn run_degraded_in_the_profile_stage_commits_only_its_manifest_and_resumes() {
         let d = dataset();
         let refs = {
             let e = engine(&d);
@@ -1159,10 +950,9 @@ mod tests {
         };
         let expected = engine(&d).resolve(&ResolveRequest::new(&refs)).clustering;
 
-        // Measure the full profiling cost in logical units, then budget
-        // half of it: the limit is guaranteed to trip mid-profiling while
-        // leaving room for the first chunks to commit.
-        let profile_cost = {
+        // Measure the whole resolve in logical units, then budget a third
+        // of it: profiling is most of the work, so the limit trips there.
+        let resolve_cost = {
             let probe = engine(&d);
             let ctl = RunControl::new();
             let _ = probe.resolve(&ResolveRequest::new(&refs).control(&ctl));
@@ -1170,38 +960,27 @@ mod tests {
         };
 
         let dir = TempDir::new("degraded");
-        // A fresh engine under a small budget: some chunks complete and
-        // commit, then the limit trips and the run degrades (gracefully,
-        // like resolve()).
         let e = engine(&d);
-        let ctl = RunControl::new().with_budget(profile_cost / 3);
+        let ctl = RunControl::new().with_budget(resolve_cost / 3);
         let req = ResolveRequest::new(&refs).control(&ctl).resume(dir.path());
-        let opts = RunOptions {
-            chunk_size: 4,
-            ..fast_opts()
-        };
-        let limited = e.resolve_durable_with(&req, &mut StdVfs, &opts).unwrap();
+        let limited = e
+            .resolve_durable_with(&req, &mut StdVfs, &fast_opts())
+            .unwrap();
         let deg = limited.outcome.degraded.expect("small budget must degrade");
         assert_eq!(deg.kind, InterruptKind::BudgetExhausted);
-        assert_eq!(deg.stage, Stage::Profiles, "{deg:?}");
-        assert!(
-            limited.run.chunks_committed >= 1,
-            "budget must allow at least one committed chunk: {:?}",
-            limited.run
-        );
+        assert_eq!(deg.stage, crate::control::Stage::Profiles, "{deg:?}");
+        assert_eq!(limited.run.chunks_committed, 0);
+        assert_eq!(listing(dir.path()), ["run.json"]);
 
-        // An unlimited resume on a cold engine finishes from the
-        // committed chunks and matches the uninterrupted answer.
+        // An unlimited resume on a cold engine recomputes everything and
+        // matches the uninterrupted answer.
         let cold = engine(&d);
         let resume_req = ResolveRequest::new(&refs).resume(dir.path());
         let resumed = cold
-            .resolve_durable_with(&resume_req, &mut StdVfs, &opts)
+            .resolve_durable_with(&resume_req, &mut StdVfs, &fast_opts())
             .unwrap();
         assert!(resumed.outcome.is_complete());
-        assert_eq!(
-            resumed.run.profiles_restored,
-            limited.run.chunks_committed * 4
-        );
+        assert_eq!(resumed.run.chunks_committed, 2);
         assert_same(&resumed.outcome.clustering, &expected);
     }
 
@@ -1238,47 +1017,182 @@ mod tests {
         e.resolve_durable_with(&req, &mut StdVfs, &fast_opts())
             .unwrap();
 
+        // A directory of the previous format (which also committed
+        // profile chunks) and one of a future format are both refused.
         let manifest = dir.path().join("run.json");
         let blob = std::fs::read_to_string(&manifest).unwrap();
-        std::fs::write(&manifest, blob.replacen(RUN_MAGIC, "DISTINCTRUN9", 1)).unwrap();
-        match e
-            .resolve_durable_with(&req, &mut StdVfs, &fast_opts())
-            .unwrap_err()
-        {
-            DistinctError::VersionMismatch {
-                found, expected, ..
-            } => {
-                assert_eq!(found, 9);
-                assert_eq!(expected, RUN_FORMAT_VERSION);
+        let magic = format!("{RUN_MAGIC_PREFIX}{RUN_FORMAT_VERSION}\n");
+        assert!(blob.starts_with(&magic), "{blob}");
+        for found in [1, 9] {
+            let foreign = blob.replacen(&magic, &format!("{RUN_MAGIC_PREFIX}{found}\n"), 1);
+            std::fs::write(&manifest, foreign).unwrap();
+            match e
+                .resolve_durable_with(&req, &mut StdVfs, &fast_opts())
+                .unwrap_err()
+            {
+                DistinctError::VersionMismatch {
+                    found: got,
+                    expected,
+                    ..
+                } => {
+                    assert_eq!(got, found);
+                    assert_eq!(expected, 2);
+                }
+                other => panic!("expected VersionMismatch, got {other}"),
             }
-            other => panic!("expected VersionMismatch, got {other}"),
         }
     }
 
     #[test]
-    fn memory_budget_guard_evicts_and_shrinks_without_changing_the_answer() {
+    fn malformed_requests_are_refused_before_any_write() {
+        let d = dataset();
+        let e = engine(&d);
+        let refs = e.references_of("Wei Wang");
+        let n = refs.len();
+        let dir = TempDir::new("malformed");
+        let base = || ResolveRequest::new(&refs).resume(dir.path());
+        let cases = [
+            ("must-link out of range", base().must_link(&[(0, n)])),
+            (
+                "cannot-link out of range",
+                base().cannot_link(&[(n + 5, 1)]),
+            ),
+            ("must-link self-pair", base().must_link(&[(3, 3)])),
+            ("cannot-link self-pair", base().cannot_link(&[(4, 4)])),
+            (
+                "contradictory pair",
+                base().must_link(&[(1, 2)]).cannot_link(&[(2, 1)]),
+            ),
+            ("NaN threshold", base().min_sim(f64::NAN)),
+            ("infinite threshold", base().min_sim(f64::INFINITY)),
+        ];
+        for (what, req) in cases {
+            match e.resolve_durable_with(&req, &mut StdVfs, &fast_opts()) {
+                Err(DistinctError::Config(_)) => {}
+                Err(other) => panic!("{what}: expected Config, got {other}"),
+                Ok(_) => panic!("{what}: accepted"),
+            }
+            assert!(
+                !dir.path().exists(),
+                "{what}: the run directory was created"
+            );
+        }
+    }
+
+    #[test]
+    fn restored_clustering_with_an_impossible_merge_history_is_corrupt() {
+        let d = dataset();
+        let e = engine(&d);
+        let refs = e.references_of("Wei Wang");
+        let n = refs.len();
+        let dir = TempDir::new("bad_merges");
+        let req = ResolveRequest::new(&refs).resume(dir.path());
+        e.resolve_durable_with(&req, &mut StdVfs, &fast_opts())
+            .unwrap();
+
+        // A merge of clusters `a` and `b`.
+        let merge = |a, b| (a, b, 0.5f64.to_bits(), 2);
+        // Labels 0, 0, 1, 2, ...: the cut of a lone merge of leaves 0 and 1.
+        let labels: Vec<usize> = (0..n).map(|i| i.saturating_sub(1)).collect();
+        let histories = [
+            // The first merge creates cluster n: it cannot consume it.
+            (vec![merge(0, n)], "not a merge history"),
+            // Leaf 0 is merged twice.
+            (vec![merge(0, 1), merge(0, 2)], "not a merge history"),
+            // A cluster merged with itself.
+            (vec![merge(5, 5)], "not a merge history"),
+            // A valid history whose labels are some other partition.
+            (vec![merge(2, 3)], "not the cut"),
+        ];
+        for (merges, why) in histories {
+            let ck = ClusteringCk {
+                format: RUN_FORMAT_VERSION,
+                labels: labels.clone(),
+                merges,
+            };
+            // Re-framed, so the checksum is valid and only the contents
+            // are wrong.
+            let blob = RUN_FRAMING.frame(&serde_json::to_string(&ck).unwrap());
+            std::fs::write(dir.path().join(CLUSTERING_FILE), blob).unwrap();
+            match e.resolve_durable_with(&req, &mut StdVfs, &fast_opts()) {
+                Err(DistinctError::CorruptCheckpoint { reason, .. }) => {
+                    assert!(reason.contains(why), "{reason}");
+                }
+                Err(other) => panic!("expected CorruptCheckpoint, got {other}"),
+                Ok(_) => panic!("accepted a clustering that is {why}"),
+            }
+        }
+        // The same labels under the history they came from are accepted.
+        let ck = ClusteringCk {
+            format: RUN_FORMAT_VERSION,
+            labels,
+            merges: vec![merge(0, 1)],
+        };
+        let blob = RUN_FRAMING.frame(&serde_json::to_string(&ck).unwrap());
+        std::fs::write(dir.path().join(CLUSTERING_FILE), blob).unwrap();
+        let out = e
+            .resolve_durable_with(&req, &mut StdVfs, &fast_opts())
+            .unwrap();
+        assert!(out.run.clustering_restored);
+        assert_eq!(out.outcome.clustering.dendrogram.merges().len(), 1);
+    }
+
+    #[test]
+    fn memory_budget_guard_evicts_once_without_changing_the_answer() {
         let d = dataset();
         let e = engine(&d);
         let refs = e.references_of("Wei Wang");
         let plain = e.resolve(&ResolveRequest::new(&refs)).clustering;
+        assert_eq!(e.cached_profiles(), refs.len());
 
         let dir = TempDir::new("memory");
-        // One byte of budget: every chunk boundary sees an over-budget
-        // process, evicts, and shrinks down to the floor.
+        // One byte of budget: the process is over it before the profile
+        // stage, so the warm cache is evicted and every profile recomputed.
         let opts = RunOptions {
-            chunk_size: 8,
-            min_chunk_size: 2,
             memory_budget_bytes: Some(1),
             ..fast_opts()
         };
-        let cold = engine(&d);
         let req = ResolveRequest::new(&refs).resume(dir.path());
-        let out = cold.resolve_durable_with(&req, &mut StdVfs, &opts).unwrap();
+        let out = e.resolve_durable_with(&req, &mut StdVfs, &opts).unwrap();
         assert!(out.outcome.is_complete());
-        assert!(out.run.memory_evictions > 0, "guard must have fired");
-        // Shrunk chunks mean more, smaller commits than 23/8 would give.
-        assert!(out.run.chunks_committed > 3, "{:?}", out.run);
+        if crate::control::current_rss_bytes().is_some() {
+            assert_eq!(out.run.memory_evictions, 1, "guard must fire exactly once");
+            assert_eq!(out.outcome.exec.profiles.tasks, refs.len());
+        }
         assert_same(&out.outcome.clustering, &plain);
+    }
+
+    #[test]
+    fn heartbeat_advances_during_the_profile_stage() {
+        let d = dataset();
+        let e = engine(&d);
+        let refs = e.references_of("Wei Wang");
+        let req = ResolveRequest::new(&refs);
+        let ctl = RunControl::new();
+        // Beats seen when the tables are handed over for commit: the
+        // profile and similarity stages have run, nothing is committed.
+        let beats_before_commit = || {
+            let heartbeat = exec::Heartbeat::new();
+            let mut seen = 0;
+            let outcome = e
+                .resolve_staged(&req, &ctl, Some(&heartbeat), None, |_| {
+                    seen = heartbeat.count();
+                    Ok::<(), DistinctError>(())
+                })
+                .unwrap();
+            assert!(outcome.is_complete());
+            seen
+        };
+        let cold = beats_before_commit();
+        // Warm: the profile stage finds every profile cached and does no
+        // work, so only the similarity stage beats.
+        let warm = beats_before_commit();
+        assert!(
+            cold >= warm + refs.len() as u64,
+            "profiling {} references beat only {} times ({cold} cold, {warm} warm)",
+            refs.len(),
+            cold - warm
+        );
     }
 
     #[test]
@@ -1296,6 +1210,29 @@ mod tests {
         let out = e.resolve_durable_with(&req, &mut StdVfs, &opts).unwrap();
         assert!(out.outcome.is_complete());
         assert!(!out.run.stalled);
+    }
+
+    #[test]
+    fn a_tripped_control_degrades_without_arming_the_watchdog() {
+        let d = dataset();
+        let e = engine(&d);
+        let refs = e.references_of("Wei Wang");
+        let dir = TempDir::new("tripped");
+        let ctl = RunControl::new();
+        ctl.interrupt(InterruptKind::Cancelled);
+        // A watchdog armed with no patience at all, polling without pause,
+        // would fire at once.
+        let opts = RunOptions {
+            stall_after: Some(Duration::ZERO),
+            watchdog_poll: Duration::ZERO,
+            ..fast_opts()
+        };
+        let req = ResolveRequest::new(&refs).control(&ctl).resume(dir.path());
+        let out = e.resolve_durable_with(&req, &mut StdVfs, &opts).unwrap();
+        let deg = out.outcome.degraded.expect("a cancelled run degrades");
+        assert_eq!(deg.kind, InterruptKind::Cancelled);
+        assert!(!out.run.stalled);
+        assert_eq!(listing(dir.path()), ["run.json"]);
     }
 
     #[test]

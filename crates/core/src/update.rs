@@ -647,7 +647,8 @@ impl Distinct {
 
         // Stage 1: profiles (clean ones come from the shared cache).
         let logical0 = ctl.spent();
-        let (profiles, profile_stats) = self.profile_fanout(refs, &executor, ctl);
+        let (profiles, profile_stats) =
+            self.profile_fanout(refs, &executor, ctl, &ctl.shared_guard());
         let profile_logical = ctl.spent().saturating_sub(logical0);
         if profiles.iter().any(|p| p.placeholder) {
             return None;

@@ -330,7 +330,7 @@ impl Executor {
 
 /// A monotonically increasing progress counter shared between a running
 /// stage and its [`Watchdog`]. The stage beats it at natural progress
-/// points (chunk commits, checkpoint writes) — one relaxed atomic add, so
+/// points (work charges, checkpoint writes) — one relaxed atomic add, so
 /// beating from a hot loop is free; the watchdog thread polls it.
 #[derive(Debug, Clone, Default)]
 pub struct Heartbeat(Arc<AtomicU64>); // distinct-lint: shared(commutative counter: relaxed beats; the watchdog only compares successive reads)

@@ -1,8 +1,7 @@
-//! Crash-safe resumable resolution: a durable run is killed at an
-//! arbitrary checkpoint write, then resumed from its run directory on a
-//! fresh engine — and lands on exactly the answer of an uninterrupted
-//! resolve. See DESIGN.md §14 and `tests/resume_chaos.rs` for the
-//! exhaustive sweep.
+//! Crash-safe resumable resolution: a durable run is killed at a
+//! checkpoint write, then resumed from its run directory on a fresh
+//! engine — and lands on exactly the answer of an uninterrupted resolve.
+//! See DESIGN.md §14 and `tests/resume_chaos.rs` for the exhaustive sweep.
 //!
 //! Run: `cargo run --release --example durable_resume`
 
@@ -15,13 +14,16 @@ fn main() {
     let mut config = WorldConfig::tiny(21);
     config.ambiguous = vec![AmbiguousSpec::new("Wei Wang", vec![10, 8, 5])];
     let dataset = datagen::to_catalog(&World::generate(config)).expect("valid world");
-    let engine = Distinct::prepare(
-        &dataset.catalog,
-        "Publish",
-        "author",
-        DistinctConfig::default(),
-    )
-    .expect("prepare");
+    let prepare = || {
+        Distinct::prepare(
+            &dataset.catalog,
+            "Publish",
+            "author",
+            DistinctConfig::default(),
+        )
+        .expect("prepare")
+    };
+    let engine = prepare();
     let refs = engine.references_of("Wei Wang");
 
     // The uninterrupted answer, for comparison.
@@ -29,20 +31,17 @@ fn main() {
     let k = cold.clustering.labels.iter().copied().max().unwrap_or(0) + 1;
     println!("plain resolve: {} references -> {} people", refs.len(), k);
 
-    // A durable run writes staged checkpoints into a run directory.
+    // A durable run commits three files into its run directory: the
+    // manifest, the similarity tables, and the clustering.
     let run_dir = std::env::temp_dir().join(format!("durable_resume_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&run_dir);
     let req = ResolveRequest::new(&refs).resume(&run_dir);
-    let opts = RunOptions {
-        chunk_size: 8, // 23 refs -> 3 profile chunks
-        ..Default::default()
-    };
 
-    // Crash it: the third write (a profile chunk) tears mid-write and the
+    // Crash it: the third write (`clustering.ck`) tears mid-write and the
     // retry budget is exhausted, as if the process had been killed.
     let fatal = RunOptions {
         max_retries: 0,
-        ..opts.clone()
+        ..Default::default()
     };
     let mut vfs = FaultyVfs::new(FaultPlan::new(42).with_fault(3, FaultKind::Torn));
     let err = engine
@@ -50,17 +49,19 @@ fn main() {
         .expect_err("the torn write must surface");
     println!("injected crash at write #3: {err}");
 
-    // Resume on a cold engine: committed chunks are restored, the torn
-    // file was never renamed over a checkpoint, and the answer matches.
-    let resumed = engine
-        .resolve_durable_with(&req, &mut StdVfs, &opts)
+    // Resume on a fresh engine: the committed similarity tables are
+    // restored, the torn file was never renamed over a checkpoint, and
+    // only the clustering is recomputed.
+    let resumed = prepare()
+        .resolve_durable_with(&req, &mut StdVfs, &RunOptions::default())
         .expect("resume");
     println!(
-        "resumed: {} profiles restored, {} chunks committed, complete = {}",
-        resumed.run.profiles_restored,
+        "resumed: similarity restored = {}, {} frame(s) committed, complete = {}",
+        resumed.run.similarity_restored,
         resumed.run.chunks_committed,
         resumed.outcome.is_complete()
     );
+    assert!(resumed.run.similarity_restored);
     assert_eq!(
         resumed.outcome.clustering.labels, cold.clustering.labels,
         "resume must be bit-identical to the uninterrupted resolve"

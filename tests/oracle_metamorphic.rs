@@ -337,7 +337,7 @@ proptest! {
     // 6. Durability is invisible: kill anywhere, resume cold, same answer.
     #[test]
     fn resume_after_kill_equals_cold_resolve(
-        kill_point in 1u64..=6,
+        kill_point in 1u64..=3,
         torn in proptest::bool::ANY,
     ) {
         let eng = engine();
@@ -349,14 +349,11 @@ proptest! {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let opts = RunOptions {
-            chunk_size: 4,
-            ..Default::default()
-        };
+        let opts = RunOptions::default();
         let req = ResolveRequest::new(refs).resume(&dir);
 
-        // Crash the durable run at the swept write (9 refs / chunks of 4:
-        // manifest, three chunks, similarity, clustering — 6 writes).
+        // Crash the durable run at the swept write (manifest, similarity,
+        // clustering — 3 writes).
         let kind = if torn { FaultKind::Torn } else { FaultKind::Fail };
         let mut vfs = FaultyVfs::new(
             FaultPlan::new(kill_point.wrapping_mul(0x9e37)).with_fault(kill_point, kind),

@@ -1,8 +1,7 @@
 //! Chaos kill sweeps over the durable resolution path.
 //!
 //! A clean durable run is measured first to learn its complete write
-//! schedule (manifest, one checkpoint per profile chunk, similarity
-//! tables, clustering). Then, for **every** write index in that schedule
+//! schedule (manifest, similarity tables, clustering). Then, for **every** write index in that schedule
 //! and both fatal fault kinds (outright failure and torn write), a fresh
 //! run is killed at exactly that write — retries disabled, so the fault
 //! is a crash — and resumed on a cold engine. The invariants:
@@ -43,11 +42,9 @@ fn engine(d: &DblpDataset) -> Distinct {
     Distinct::prepare(&d.catalog, "Publish", "author", DistinctConfig::default()).unwrap()
 }
 
-/// Small chunks so the sweep crosses several chunk boundaries; tight
-/// backoff so the retry test stays fast.
+/// Tight backoff so the retry test stays fast.
 fn opts() -> RunOptions {
     RunOptions {
-        chunk_size: 8,
         backoff_base: Duration::from_micros(100),
         ..Default::default()
     }
@@ -131,9 +128,9 @@ fn kill_at_every_write_point_resumes_bit_identically() {
     let expected = oracle_checked_expected(&d, &e);
 
     let total = write_schedule_len(&e, &refs);
-    // 23 refs / chunks of 8 → manifest + 3 chunks + similarity + clustering.
+    // Manifest, similarity tables, clustering.
     assert_eq!(
-        total, 6,
+        total, 3,
         "write schedule changed; widen or narrow the sweep"
     );
 
