@@ -90,6 +90,11 @@ impl<M: Merger> ConstrainedMerger<M> {
     pub fn inner(&self) -> &M {
         &self.inner
     }
+
+    /// Unwrap the merger, with every merge it has seen applied.
+    pub fn into_inner(self) -> M {
+        self.inner
+    }
 }
 
 impl<M: Merger> Merger for ConstrainedMerger<M> {

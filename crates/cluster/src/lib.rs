@@ -19,13 +19,11 @@
 
 #![warn(missing_docs)]
 
-pub mod components;
 pub mod constraints;
 pub mod dendrogram;
 pub mod engine;
 pub mod linkage;
 
-pub use components::{compose, connected_components, ComponentClustering};
 pub use constraints::ConstrainedMerger;
 pub use dendrogram::{groups, Dendrogram, Merge};
 pub use engine::{

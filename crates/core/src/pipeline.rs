@@ -131,7 +131,7 @@ impl From<SvmError> for DistinctError {
 
 /// Attach a stage's logical-clock delta ([`RunControl`] units charged
 /// while it ran) to its parallel statistics.
-pub(crate) fn stage_stats(par: exec::ParStats, logical: u64) -> StageStats {
+fn stage_stats(par: exec::ParStats, logical: u64) -> StageStats {
     let mut s: StageStats = par.into();
     s.logical = logical;
     s
@@ -229,8 +229,8 @@ pub struct Distinct {
     /// model import carries) change; cached per-name similarity tables are
     /// only valid for the epoch they were built under.
     pub(crate) weights_epoch: u64,
-    /// Per-name incremental state: leaf similarity tables, dirty marks,
-    /// and component clusterings (see [`crate::update`]). Only
+    /// Per-name incremental state: leaf similarity tables and dirty
+    /// marks (see [`crate::update`]). Only
     /// [`ResolveRequest::incremental`] requests read or write it.
     // distinct-lint: shared(exclusive takeout: an entry leaves the map before pool fanout and returns after the ordered commit, so no guard spans a boundary)
     pub(crate) names: parking_lot::Mutex<crate::update::NameCache>,
@@ -302,7 +302,7 @@ impl Distinct {
             // distinct-lint: scratch(keyed memo: one profile per reference, computed on demand, shared via Arc, evicted when an update batch dirties the reference)
             profile_cache: ProfileCache::new(),
             weights_epoch: 0,
-            // distinct-lint: scratch(per-name takeout: incremental resolves remove a name's entry, repair it unlocked, and reinsert; weight-epoch bumps and update batches invalidate entries)
+            // distinct-lint: scratch(per-name takeout: incremental resolves remove a name's entry, patch it unlocked, and reinsert; weight-epoch bumps and update batches invalidate entries)
             names: parking_lot::Mutex::new(crate::update::NameCache::default()),
             // distinct-lint: scratch(engine-owned free list: similarity stages take arenas at start, rebuild them in place, and park them back for the next resolve of any name)
             arena_pool: relgraph::ArenaPool::new(),
@@ -748,42 +748,42 @@ impl Distinct {
     /// [`Degraded`] report when any limit tripped, plus an [`ExecReport`]
     /// with per-stage task counts and wall times.
     ///
-    /// A request built with [`ResolveRequest::incremental`] first tries
-    /// the delta path (see [`crate::update`]): clean pairs are copied from
-    /// the name's cached tables and only dirty pairs are re-scored. When
-    /// its preconditions fail — unknown name, constraints, non-positive
-    /// threshold, or a tripped limit — it falls back to this batch path,
-    /// so the partition is the same either way.
+    /// A request built with [`ResolveRequest::incremental`] over exactly
+    /// one name's current references uses that name's cached tables (see
+    /// [`crate::update`]): clean pairs are copied and only dirty pairs are
+    /// re-scored. A cold or stale cache entry builds the tables instead.
+    /// Either way the fresh tables go back into the cache, and they, and
+    /// so the partition and every merge, equal a batch resolve's bit for
+    /// bit.
     pub fn resolve(&self, req: &ResolveRequest<'_>) -> ResolveOutcome {
-        if req.incremental {
-            if let Some(outcome) = self.resolve_incremental(req) {
-                return outcome;
-            }
-        }
         let unlimited = RunControl::new();
         let ctl = req.control.unwrap_or(&unlimited);
-        let Ok(outcome) = self.resolve_staged(req, ctl, None, None, |_| Ok::<(), Infallible>(()));
+        let source = match req.incremental.then(|| self.cached_name(req.refs)) {
+            Some(Some(name)) => TableSource::Cached(name),
+            _ => TableSource::Built,
+        };
+        let Ok(outcome) = self.resolve_staged(req, ctl, None, source, |_| Ok::<(), Infallible>(()));
         outcome
     }
 
-    /// The batch pipeline behind [`Distinct::resolve`] and
+    /// The one resolve driver, behind [`Distinct::resolve`] and
     /// [`Distinct::resolve_durable_with`]: profiles, then the pairwise
-    /// similarity tables, then agglomerative clustering, with the trip
-    /// bookkeeping, the singleton fallback and the [`ExecReport`] in one
-    /// place.
+    /// similarity tables from `source`, then agglomerative clustering,
+    /// with the trip bookkeeping, the singleton fallback and the
+    /// [`ExecReport`] in one place.
     ///
     /// Every stage charges its work against `ctl`, and each charge also
     /// beats `heartbeat` when one is given (the durable path's watchdog
-    /// listens to it). `restored` holds tables from a committed checkpoint
-    /// and skips the first two stages. `commit_tables` gets freshly built
+    /// listens to it). `commit_tables` gets freshly built or patched
     /// tables when no stage has tripped; its error aborts the run before
-    /// clustering.
+    /// clustering. A [`TableSource::Cached`] run puts the same fresh
+    /// tables back into the name cache after clustering.
     pub(crate) fn resolve_staged<E>(
         &self,
         req: &ResolveRequest<'_>,
         ctl: &RunControl,
         heartbeat: Option<&exec::Heartbeat>,
-        restored: Option<DistinctMerger>,
+        source: TableSource,
         commit_tables: impl FnOnce(&DistinctMerger) -> Result<(), E>,
     ) -> Result<ResolveOutcome, E> {
         let charge = ctl.shared_guard();
@@ -806,9 +806,13 @@ impl Distinct {
         let (mut profile_stats, mut profile_logical) = (exec::ParStats::default(), 0);
         let (mut matrix_stats, mut similarity_logical) = (exec::ParStats::default(), 0);
         let mut pair_counters = crate::refcluster::PairCounters::default();
-        let merger = match restored {
-            Some(tables) => Some(tables),
-            None => {
+        let mut pairs_dirty = 0;
+        // The name whose cache entry takes the tables back, once they are
+        // known to be complete.
+        let mut keep_as = None;
+        let merger = match source {
+            TableSource::Restored(tables) => Some(tables),
+            source => {
                 // Stage 1: profiles (placeholders for anything a limit
                 // cut off).
                 let logical0 = ctl.spent();
@@ -820,15 +824,40 @@ impl Distinct {
                     tripped(&mut trip, Stage::Profiles);
                 }
 
-                // Stage 2: pairwise similarity tables.
+                // Stage 2: pairwise similarity tables, patched from a warm
+                // cache entry only over real profiles, built otherwise.
                 let logical1 = ctl.spent();
-                let (built, stats, counters) =
-                    self.similarity_stage(&profiles, &req.resemblance, &executor, &guard);
+                let name = match source {
+                    TableSource::Cached(name) => Some(name),
+                    _ => None,
+                };
+                let entry = name
+                    .as_deref()
+                    .filter(|_| profiles_computed == n)
+                    .and_then(|name| self.take_name_entry(name, req.refs));
+                let (built, stats, counters) = match entry {
+                    Some(entry) => {
+                        let patched = self.patch_tables(entry, req.refs, &profiles, &guard);
+                        pairs_dirty = patched.2.exact;
+                        patched
+                    }
+                    None => DistinctMerger::from_profiles_pooled(
+                        &profiles,
+                        &self.weights,
+                        self.config.measure,
+                        self.config.composite,
+                        &req.resemblance,
+                        &executor,
+                        &guard,
+                        &self.arena_pool,
+                    ),
+                };
                 matrix_stats = stats;
                 similarity_logical = ctl.spent().saturating_sub(logical1);
                 pair_counters = counters;
                 if let (Some(tables), None) = (&built, trip) {
                     commit_tables(tables)?;
+                    keep_as = name;
                 }
                 built
             }
@@ -839,13 +868,18 @@ impl Distinct {
         // distinct-lint: allow(D004, reason="wall time feeds ExecReport stage timings only; control flow stays with RunControl")
         let clock = Instant::now();
         let logical2 = ctl.spent();
-        let (partial, mut cluster_stats) = match merger {
+        let (partial, mut cluster_stats, clustered) = match merger {
             Some(inner) if req.is_constrained() => {
                 let mut constrained =
                     ConstrainedMerger::new(inner, n, &req.must_link, &req.cannot_link);
-                agglomerate_exec(n, &mut constrained, min_sim, &executor, &guard)
+                let (partial, stats) =
+                    agglomerate_exec(n, &mut constrained, min_sim, &executor, &guard);
+                (partial, stats, Some(constrained.into_inner()))
             }
-            Some(mut inner) => agglomerate_exec(n, &mut inner, min_sim, &executor, &guard),
+            Some(mut inner) => {
+                let (partial, stats) = agglomerate_exec(n, &mut inner, min_sim, &executor, &guard);
+                (partial, stats, Some(inner))
+            }
             None => {
                 // The matrix build was cut short: every reference stays a
                 // singleton (an empty dendrogram cut below any threshold).
@@ -863,6 +897,7 @@ impl Distinct {
                         completed: false,
                     },
                     stats,
+                    None,
                 )
             }
         };
@@ -870,6 +905,9 @@ impl Distinct {
         let clustering_logical = ctl.spent().saturating_sub(logical2);
         if !partial.completed {
             tripped(&mut trip, Stage::Clustering);
+        }
+        if let (Some(name), Some(tables)) = (keep_as, clustered) {
+            self.put_name_entry(name, req.refs, tables);
         }
         let degraded = trip.map(|(stage, kind)| Degraded {
             stage,
@@ -890,38 +928,11 @@ impl Distinct {
                 pairs_pruned: pair_counters.pruned,
                 pairs_exact: pair_counters.exact,
                 pairs_cached: pair_counters.cached,
-                pairs_dirty: 0,
-                names_affected: 0,
+                pairs_dirty,
+                names_affected: u64::from(pairs_dirty > 0),
                 arena_rows_interned: pair_counters.interned,
             },
         })
-    }
-
-    /// Stage 2 of resolution, shared by the batch pipeline and the
-    /// incremental path: the pairwise similarity tables under the
-    /// engine's weights, measure, and composite. Returns `None` (with the
-    /// stats recording how far it got) when `guard` trips mid-build.
-    pub(crate) fn similarity_stage(
-        &self,
-        profiles: &[Arc<Profile>],
-        kernel: &relgraph::Resemblance,
-        executor: &exec::Executor,
-        guard: &(dyn Fn(u64) -> bool + Sync),
-    ) -> (
-        Option<DistinctMerger>,
-        exec::ParStats,
-        crate::refcluster::PairCounters,
-    ) {
-        DistinctMerger::from_profiles_pooled(
-            profiles,
-            &self.weights,
-            self.config.measure,
-            self.config.composite,
-            kernel,
-            executor,
-            guard,
-            &self.arena_pool,
-        )
     }
 
     /// Calibrated probability that two references denote the same entity,
@@ -968,6 +979,22 @@ impl Distinct {
         self.config.composite = saved.config.composite;
         Ok(())
     }
+}
+
+/// Where [`Distinct::resolve_staged`] gets a run's leaf similarity tables.
+pub(crate) enum TableSource {
+    /// The profile and similarity stages build them.
+    Built,
+    /// Tables a durable run committed (`similarity.ck`): the profile and
+    /// similarity stages are skipped.
+    Restored(DistinctMerger),
+    /// The name cache's entry for this name (see [`crate::update`]):
+    /// after the profile stage, a warm entry is taken out and
+    /// [`Distinct::patch_tables`] copies its clean pairs and re-scores the
+    /// dirty ones. A missing or stale entry, or a profile stage cut short,
+    /// builds instead. Complete tables go back under the name after
+    /// clustering.
+    Cached(String),
 }
 
 /// On-disk form of a trained engine (see [`Distinct::export_model`]).

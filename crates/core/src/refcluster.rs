@@ -354,6 +354,24 @@ impl DistinctMerger {
         )
     }
 
+    /// The leaf tables `(resemblance, directed walk)` back out of a merger,
+    /// clustered or not. [`Merger::merged`] only appends rows and columns,
+    /// so cutting both tables back to the leaves returns, bit for bit, the
+    /// tables the merger was built from. The rows keep their capacity, so
+    /// a later patch and clustering of the same name grow them in place.
+    // distinct-lint: allow(D005, reason="one truncation per leaf row after clustering: O(n) work behind the similarity stage that charged for the O(n^2) tables")
+    pub(crate) fn into_leaves(self) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+        let n = self.n;
+        let (mut resem, mut dwalk) = (self.resem, self.dwalk);
+        for table in [&mut resem, &mut dwalk] {
+            table.truncate(n);
+            for row in table.iter_mut() {
+                row.truncate(n);
+            }
+        }
+        (resem, dwalk)
+    }
+
     /// Number of leaf references.
     pub fn items(&self) -> usize {
         self.n
@@ -949,6 +967,9 @@ mod tests {
         let cb = agglomerate(9, &mut b, 0.01);
         assert_eq!(ca.labels, cb.labels);
         assert_eq!(ca.dendrogram.merges(), cb.dendrogram.merges());
+        // Merges only append rows and columns: the leaves come back out.
+        assert!(!ca.dendrogram.merges().is_empty());
+        assert_eq!(a.into_leaves(), (resem.to_vec(), dwalk.to_vec()));
         // Malformed tables are refused, not misindexed.
         assert!(DistinctMerger::from_tables(
             vec![vec![0.0; 2]; 3],

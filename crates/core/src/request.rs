@@ -76,16 +76,16 @@ pub struct ExecReport {
     pub pairs_total: u64,
     /// Kernel units the pruned engine skipped because every kernel value
     /// was provably exactly zero (support-overlap certificate).
-    /// Always `0` under [`relgraph::Resemblance::Exact`]. Invariant:
-    /// `pairs_pruned + pairs_exact == pairs_total`.
+    /// Always `0` under [`relgraph::Resemblance::Exact`] and on a warm
+    /// incremental resolve. Invariant: `pairs_pruned + pairs_exact +
+    /// pairs_cached == pairs_total`.
     pub pairs_pruned: u64,
     /// Kernel units whose exact merge-join kernels were evaluated (or
     /// reused from a content-identical row pair).
     pub pairs_exact: u64,
     /// Kernel units copied verbatim from the tables of a previous resolve
     /// of the same name (incremental requests only; a cold run reports
-    /// `0`). Invariant: `pairs_pruned + pairs_exact + pairs_cached ==
-    /// pairs_total`.
+    /// `0`).
     pub pairs_cached: u64,
     /// Kernel units an incremental resolve had to re-score because an
     /// update changed at least one endpoint's neighborhood. Always `≤
@@ -151,11 +151,12 @@ impl<'a> ResolveRequest<'a> {
 
     /// A request that reuses the engine's cached per-name similarity
     /// tables, re-scoring only the pairs that
-    /// [`crate::Distinct::apply_updates`] dirtied and repairing the
-    /// dendrogram component-locally. `refs` must be exactly the engine's
-    /// current reference set for one name (in tuple order); anything else —
-    /// or a cold cache — falls back to the batch path, so results are
-    /// always identical to [`ResolveRequest::new`] up to merge order.
+    /// [`crate::Distinct::apply_updates`] dirtied, and then clusters as
+    /// [`ResolveRequest::new`] does, so labels and merges are always
+    /// identical to the batch request's. Constraints, thresholds and
+    /// limits apply as they do there. Only `refs` that are not exactly
+    /// the engine's current reference set for one name (in tuple order),
+    /// or a cold or stale cache entry, build the tables fresh.
     pub fn incremental(refs: &'a [TupleRef]) -> Self {
         ResolveRequest {
             refs,

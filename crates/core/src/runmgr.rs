@@ -52,7 +52,7 @@
 
 use crate::checkpoint::{corrupt, Framing};
 use crate::control::{InterruptKind, RunControl};
-use crate::pipeline::{Distinct, DistinctError, ResolveOutcome};
+use crate::pipeline::{Distinct, DistinctError, ResolveOutcome, TableSource};
 use crate::refcluster::DistinctMerger;
 use crate::request::{ExecReport, ResolveRequest};
 use crate::update::{UpdateReport, UpdateTuple};
@@ -499,7 +499,7 @@ impl Distinct {
         // Committed tables make profiles and the similarity stage
         // unnecessary: clustering only needs the tables.
         let similarity_path = run_dir.join(SIMILARITY_FILE);
-        let restored = match read_framed(vfs, &similarity_path, &mut retry, |c: &SimilarityCk| {
+        let source = match read_framed(vfs, &similarity_path, &mut retry, |c: &SimilarityCk| {
             c.format
         })? {
             Some(ck) => {
@@ -515,13 +515,15 @@ impl Distinct {
                     self.config().measure,
                     self.config().composite,
                 );
-                Some(tables.ok_or_else(|| corrupt(&similarity_path, "tables are not square"))?)
+                TableSource::Restored(
+                    tables.ok_or_else(|| corrupt(&similarity_path, "tables are not square"))?,
+                )
             }
-            None => None,
+            None => TableSource::Built,
         };
-        report.similarity_restored = restored.is_some();
+        report.similarity_restored = matches!(source, TableSource::Restored(_));
         let over = |budget| crate::control::current_rss_bytes().is_some_and(|rss| rss > budget);
-        if restored.is_none() && opts.memory_budget_bytes.is_some_and(over) {
+        if !report.similarity_restored && opts.memory_budget_bytes.is_some_and(over) {
             self.evict_profiles();
             report.memory_evictions = 1;
         }
@@ -540,7 +542,7 @@ impl Distinct {
                 handle.interrupt(InterruptKind::Stalled);
             })
         });
-        let outcome = self.resolve_staged(req, ctl, Some(&heartbeat), restored, |tables| {
+        let outcome = self.resolve_staged(req, ctl, Some(&heartbeat), source, |tables| {
             let (resem, dwalk) = tables.to_tables();
             let ck = SimilarityCk {
                 format: RUN_FORMAT_VERSION,
@@ -1175,7 +1177,7 @@ mod tests {
             let heartbeat = exec::Heartbeat::new();
             let mut seen = 0;
             let outcome = e
-                .resolve_staged(&req, &ctl, Some(&heartbeat), None, |_| {
+                .resolve_staged(&req, &ctl, Some(&heartbeat), TableSource::Built, |_| {
                     seen = heartbeat.count();
                     Ok::<(), DistinctError>(())
                 })

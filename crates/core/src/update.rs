@@ -1,6 +1,6 @@
 //! Incremental resolution: append tuples, track dirtied references, and
-//! repair cached similarity tables and dendrograms instead of recomputing
-//! them from scratch.
+//! patch cached similarity tables instead of recomputing them from
+//! scratch.
 //!
 //! The batch pipeline treats the catalog as frozen; real bibliographic
 //! databases grow continuously. [`Distinct::apply_updates`] appends a
@@ -8,10 +8,11 @@
 //! (an overlay append — existing node ids, and therefore every cached
 //! profile, stay valid), then computes which references the batch *could*
 //! have affected. A later [`crate::ResolveRequest::incremental`] resolve
-//! copies every clean pair from the name's cached leaf tables, re-scores
-//! only the dirty pairs through the exact kernel (bit-identical to the
-//! pruned batch kernel, which is lossless), and re-clusters only the
-//! connected components an update touched ([`cluster::compose`]).
+//! runs the one resolve driver with the name's cached leaf tables as its
+//! table source: every clean pair is copied, only the dirty pairs are
+//! re-scored through the exact kernel (bit-identical to the pruned batch
+//! kernel, which is lossless), and the whole name is clustered as a batch
+//! resolve clusters it, so labels and merges equal the batch answer.
 //!
 //! # Dirty tracking
 //!
@@ -45,12 +46,9 @@
 //! affected reference — the convergence oracle in `tests/` holds the
 //! resulting streaming partitions equal to cold batch resolves.
 
-use crate::control::RunControl;
-use crate::features::{directed_walk_features, resemblance_features, weighted_sum};
-use crate::pipeline::{stage_stats, Distinct, DistinctError, ResolveOutcome};
-use crate::refcluster::DistinctMerger;
-use crate::request::{ExecReport, ResolveRequest};
-use cluster::{compose, connected_components, ComponentClustering};
+use crate::features::{directed_walk_features, resemblance_features, weighted_sum, Profile};
+use crate::pipeline::{Distinct, DistinctError};
+use crate::refcluster::{DistinctMerger, PairCounters};
 use relgraph::{LinkGraph, NodeId};
 use relstore::{
     expand::pseudo_relation_name, AttrRole, Catalog, Direction, FkId, FxHashMap, FxHashSet,
@@ -58,6 +56,7 @@ use relstore::{
 };
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One tuple to append, named in the engine's *input* schema. Pseudo
@@ -137,11 +136,6 @@ pub(crate) struct NameEntry {
     pub dirty: FxHashSet<TupleRef>,
     /// [`Distinct`] weights epoch the tables were built under.
     pub weights_epoch: u64,
-    /// Bits of the `min_sim` the component clusterings were cut at.
-    pub min_sim_bits: u64,
-    /// Per-component clusterings of the last resolve, reusable for
-    /// components no update touched.
-    pub parts: Vec<ComponentClustering>,
 }
 
 /// Per-name incremental state, keyed by reference name.
@@ -581,273 +575,164 @@ impl Distinct {
         Ok(report)
     }
 
-    /// Take `name`'s cached entry out of the name cache. A self-contained
-    /// lock scope: the incremental repair runs on the removed entry with
-    /// the cache unlocked, so the exec pool's channels never block under
-    /// `self.names`.
-    fn take_name_entry(&self, name: &str) -> Option<NameEntry> {
-        self.names.lock().remove(name)
-    }
-
-    /// The delta resolve path behind [`crate::ResolveRequest::incremental`].
-    ///
-    /// Returns `None` whenever a precondition fails (constraints, a
-    /// non-positive threshold, refs that are not exactly one name's
-    /// current reference list) or a control limit trips mid-repair — the
-    /// caller then falls back to the batch path, which owns graceful
-    /// degradation, and the name cache is left cold rather than
-    /// half-updated.
-    pub(crate) fn resolve_incremental(&self, req: &ResolveRequest<'_>) -> Option<ResolveOutcome> {
-        let refs = req.refs;
-        let min_sim = req.min_sim.unwrap_or(self.config.min_sim);
-        // Component repair is lossless only above a positive threshold,
-        // and user constraints can link across components.
-        // `partial_cmp` so a NaN threshold also bails to batch.
-        if refs.is_empty()
-            || min_sim.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater)
-            || req.is_constrained()
-        {
-            return None;
-        }
+    /// The name whose cached tables an incremental request over `refs`
+    /// may use and refill: `refs` must be exactly that name's current
+    /// reference list, in tuple order.
+    pub(crate) fn cached_name(&self, refs: &[TupleRef]) -> Option<String> {
         let first = *refs.first()?;
         if first.rel != self.paths.start {
             return None;
         }
-        let name = self
-            .catalog
-            .value(first, self.ref_attr_idx)
-            .as_str()?
-            .to_string();
-        if self.references_of(&name) != refs {
-            return None;
-        }
-        let n = refs.len();
-        let n_paths = self.paths.len() as u64;
-        let unlimited = RunControl::new();
-        let ctl = req.control.unwrap_or(&unlimited);
-        let executor = self.executor_for(req.threads);
+        let name = self.catalog.value(first, self.ref_attr_idx).as_str()?;
+        (self.references_of(name) == refs).then(|| name.to_string())
+    }
 
-        // The entry is taken *out* of the cache for the whole repair —
-        // the lock itself is never held across the staged work below (the
-        // stages fan out over channels) — so every early return leaves
-        // the name cold (correct, a later resolve rebuilds) instead of
-        // half-updated.
-        let prior = self.take_name_entry(&name).filter(|e| {
-            e.weights_epoch == self.weights_epoch
-                && e.refs.len() <= n
-                && e.refs[..] == refs[..e.refs.len()]
-        });
+    /// Take `name`'s entry out of the name cache, and keep it only if it
+    /// can be patched up to `refs`: built under the current weights, over
+    /// a prefix of `refs` (updates only append references). A
+    /// self-contained lock scope: the patch runs on the removed entry with
+    /// the cache unlocked, so the exec pool's channels never block under
+    /// `self.names`, and a patch that trips leaves the name cold instead
+    /// of half-updated.
+    pub(crate) fn take_name_entry(&self, name: &str, refs: &[TupleRef]) -> Option<NameEntry> {
+        let entry = self.names.lock().remove(name);
         // Dynamic pin of the rule lint D106 proves statically: the cache
-        // guard must be fully released before the fanout below can block
-        // on the pool's channels.
+        // guard must be fully released before the stages fan out on the
+        // pool's channels.
         debug_assert!(
             !self.names.is_locked(),
             "NameCache guard must not be held across the exec pool boundary (lint D106)"
         );
+        entry.filter(|e| {
+            e.weights_epoch == self.weights_epoch
+                && e.refs.len() <= refs.len()
+                && e.refs[..] == refs[..e.refs.len()]
+        })
+    }
 
-        // Stage 1: profiles (clean ones come from the shared cache).
-        let logical0 = ctl.spent();
-        let (profiles, profile_stats) =
-            self.profile_fanout(refs, &executor, ctl, &ctl.shared_guard());
-        let profile_logical = ctl.spent().saturating_sub(logical0);
-        if profiles.iter().any(|p| p.placeholder) {
-            return None;
-        }
-
-        // Stage 2: leaf similarity tables — copy clean pairs, re-score
-        // dirty ones through the exact kernel (bit-identical to the
-        // lossless pruned kernel the batch path uses).
-        // distinct-lint: allow(D004, reason="wall time feeds ExecReport stage timings only; control flow stays with RunControl")
-        let clock = Instant::now();
-        let logical1 = ctl.spent();
-        let guard = ctl.shared_guard();
-        let pair_units = exec::triangle_count(n) as u64 * n_paths;
-        let (
+    /// Put `name`'s fresh leaf tables back into the name cache, clean.
+    pub(crate) fn put_name_entry(&self, name: String, refs: &[TupleRef], tables: DistinctMerger) {
+        let (resem, dwalk) = tables.into_leaves();
+        let entry = NameEntry {
+            refs: refs.to_vec(),
             resem,
             dwalk,
-            dirty_flags,
-            sim_stats,
-            units_pruned,
-            units_exact,
-            units_cached,
-            interned,
-        );
-        if let Some(entry) = &prior {
-            let k = entry.refs.len();
-            let flags: Vec<bool> = (0..n)
-                .map(|i| i >= k || entry.dirty.contains(&refs[i]))
-                .collect();
-            let mut res = vec![vec![0.0; n]; n];
-            let mut dwk = vec![vec![0.0; n]; n];
-            for i in 0..n {
-                for j in 0..n {
-                    if i != j && !flags[i] && !flags[j] {
-                        res[i][j] = entry.resem[i][j];
-                        dwk[i][j] = entry.dwalk[i][j];
-                    }
-                }
-            }
-            let mut dirty_pairs: u64 = 0;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    if !(flags[i] || flags[j]) {
-                        continue;
-                    }
-                    if !guard(n_paths) {
-                        return None;
-                    }
-                    dirty_pairs += 1;
-                    let (pi, pj) = (&profiles[i], &profiles[j]);
-                    let r = weighted_sum(&resemblance_features(pi, pj), &self.weights.resem);
-                    let dij = weighted_sum(&directed_walk_features(pi, pj), &self.weights.walk);
-                    let dji = weighted_sum(&directed_walk_features(pj, pi), &self.weights.walk);
-                    res[i][j] = r;
-                    res[j][i] = r;
-                    dwk[i][j] = dij;
-                    dwk[j][i] = dji;
-                }
-            }
-            resem = res;
-            dwalk = dwk;
-            dirty_flags = flags;
-            sim_stats = exec::ParStats {
-                tasks: dirty_pairs as usize,
-                completed: dirty_pairs as usize,
-                threads: 1,
-                wall: clock.elapsed(),
-                stopped: false,
-            };
-            units_pruned = 0;
-            units_exact = dirty_pairs * n_paths;
-            units_cached = pair_units - units_exact;
-            interned = 0;
-        } else {
-            // Cold: build the tables through the configured kernel, then
-            // cache them so the next incremental resolve is warm.
-            let (merger, stats, counters) =
-                self.similarity_stage(&profiles, &req.resemblance, &executor, &guard);
-            let merger = merger?;
-            let (r, d) = merger.to_tables();
-            resem = r.to_vec();
-            dwalk = d.to_vec();
-            dirty_flags = vec![true; n];
-            sim_stats = stats;
-            units_pruned = counters.pruned;
-            units_exact = counters.exact;
-            units_cached = counters.cached;
-            interned = counters.interned;
-        }
-        let similarity_logical = ctl.spent().saturating_sub(logical1);
-        let units_dirty = if prior.is_some() { units_exact } else { 0 };
+            dirty: FxHashSet::default(),
+            weights_epoch: self.weights_epoch,
+        };
+        self.names.lock().insert(name, entry);
+    }
 
-        // Stage 3: component-scoped dendrogram repair. Cross-component
-        // similarities are exactly zero (child-sum arithmetic keeps them
-        // there), so with min_sim > 0 the batch engine could never merge
-        // across a boundary — untouched components reuse their cached
-        // clustering verbatim.
+    /// Stage 2 of a resolve from a warm entry: the entry's leaf tables,
+    /// grown in place to `refs`, with every pair that touches a dirty or
+    /// new reference re-scored through the exact kernel (bit-identical to
+    /// the lossless pruned kernel a built source runs) and every other
+    /// pair kept as cached. Returns `None` (with the stats recording how
+    /// far it got) when `guard` trips mid-patch, like the built source.
+    pub(crate) fn patch_tables(
+        &self,
+        entry: NameEntry,
+        refs: &[TupleRef],
+        profiles: &[Arc<Profile>],
+        guard: &(dyn Fn(u64) -> bool + Sync),
+    ) -> (Option<DistinctMerger>, exec::ParStats, PairCounters) {
         // distinct-lint: allow(D004, reason="wall time feeds ExecReport stage timings only; control flow stays with RunControl")
-        let clock2 = Instant::now();
-        let logical2 = ctl.spent();
-        let adjacent =
-            |i: usize, j: usize| resem[i][j] != 0.0 || dwalk[i][j] != 0.0 || dwalk[j][i] != 0.0;
-        let comps = connected_components(n, &adjacent);
-        let min_sim_bits = min_sim.to_bits();
-        let mut prior_parts: FxHashMap<Vec<usize>, ComponentClustering> = FxHashMap::default();
-        if let Some(entry) = prior {
-            if entry.min_sim_bits == min_sim_bits {
-                for part in entry.parts {
-                    prior_parts.insert(part.members.clone(), part);
-                }
-            }
-        }
-        let mut parts: Vec<ComponentClustering> = Vec::with_capacity(comps.len());
-        let mut cluster_stats = exec::ParStats {
+        let clock = Instant::now();
+        let n = refs.len();
+        let n_paths = self.paths.len() as u64;
+        let NameEntry {
+            refs: cached,
+            mut resem,
+            mut dwalk,
+            dirty,
+            ..
+        } = entry;
+        let k = cached.len();
+        let flags: Vec<bool> = (0..n).map(|i| i >= k || dirty.contains(&refs[i])).collect();
+        // New references get zero rows and columns; every pair they touch
+        // is re-scored below, like every pair a dirty reference touches.
+        grow_square(&mut resem, n);
+        grow_square(&mut dwalk, n);
+        let mut stats = exec::ParStats {
             threads: 1,
             ..Default::default()
         };
-        for members in comps {
-            if members.iter().all(|&i| !dirty_flags[i]) {
-                if let Some(part) = prior_parts.remove(&members) {
-                    parts.push(part);
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if !(flags[i] || flags[j]) {
                     continue;
                 }
+                if !guard(n_paths) {
+                    stats.stopped = true;
+                    stats.wall = clock.elapsed();
+                    return (None, stats, PairCounters::default());
+                }
+                stats.tasks += 1;
+                let (pi, pj) = (&profiles[i], &profiles[j]);
+                let r = weighted_sum(&resemblance_features(pi, pj), &self.weights.resem);
+                resem[i][j] = r;
+                resem[j][i] = r;
+                dwalk[i][j] = weighted_sum(&directed_walk_features(pi, pj), &self.weights.walk);
+                dwalk[j][i] = weighted_sum(&directed_walk_features(pj, pi), &self.weights.walk);
             }
-            let local_resem = gather_rows(&resem, &members);
-            let local_dwalk = gather_rows(&dwalk, &members);
-            let mut merger = DistinctMerger::from_tables(
-                local_resem,
-                local_dwalk,
-                self.config.measure,
-                self.config.composite,
-            )?;
-            let (partial, stats) =
-                cluster::agglomerate_exec(members.len(), &mut merger, min_sim, &executor, &guard);
-            if !partial.completed {
-                return None;
-            }
-            cluster_stats.tasks += stats.tasks;
-            cluster_stats.completed += stats.completed;
-            cluster_stats.threads = cluster_stats.threads.max(stats.threads);
-            parts.push(ComponentClustering {
-                members,
-                dendrogram: partial.clustering.dendrogram,
-            });
         }
-        let clustering = compose(n, &parts);
-        cluster_stats.wall = clock2.elapsed();
-        let clustering_logical = ctl.spent().saturating_sub(logical2);
-
-        let names_affected = u64::from(units_dirty > 0);
-        self.names.lock().insert(
-            name,
-            NameEntry {
-                refs: refs.to_vec(),
-                resem,
-                dwalk,
-                dirty: FxHashSet::default(),
-                weights_epoch: self.weights_epoch,
-                min_sim_bits,
-                parts,
-            },
-        );
-
-        Some(ResolveOutcome {
-            clustering,
-            degraded: None,
-            exec: ExecReport {
-                profiles: stage_stats(profile_stats, profile_logical),
-                similarity: stage_stats(sim_stats, similarity_logical),
-                clustering: stage_stats(cluster_stats, clustering_logical),
-                peak_rss_bytes: crate::control::peak_rss_bytes().unwrap_or(0),
-                pairs_total: pair_units,
-                pairs_pruned: units_pruned,
-                pairs_exact: units_exact,
-                pairs_cached: units_cached,
-                pairs_dirty: units_dirty,
-                names_affected,
-                arena_rows_interned: interned,
-            },
-        })
+        stats.completed = stats.tasks;
+        stats.wall = clock.elapsed();
+        let total = exec::triangle_count(n) as u64 * n_paths;
+        let exact = stats.tasks as u64 * n_paths;
+        let counters = PairCounters {
+            total,
+            pruned: 0,
+            exact,
+            cached: total - exact,
+            interned: 0,
+        };
+        let merger =
+            DistinctMerger::from_tables(resem, dwalk, self.config.measure, self.config.composite);
+        (merger, stats, counters)
     }
 }
 
-/// The `members × members` submatrix of `src`, each row exact-sized by
-/// the iterator. Out-of-line from the component loop so the per-component
-/// allocations (which are moved into that component's merger and cannot
-/// be pooled) sit outside the charge-guarded hot loop (lint D110).
-fn gather_rows(src: &[Vec<f64>], members: &[usize]) -> Vec<Vec<f64>> {
-    members
-        .iter()
-        .map(|&i| members.iter().map(|&j| src[i][j]).collect())
-        .collect()
+/// Grow a square table to `n × n` with zero entries. Out-of-line from the
+/// charge-guarded patch loop: the new rows are allocated once per new
+/// reference, not per pair (lint D110).
+fn grow_square(table: &mut Vec<Vec<f64>>, n: usize) {
+    for row in table.iter_mut() {
+        row.resize(n, 0.0);
+    }
+    table.resize_with(n, || vec![0.0; n]);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::DistinctConfig;
+    use crate::control::{RunControl, Stage};
+    use crate::pipeline::ResolveOutcome;
     use crate::request::ResolveRequest;
     use datagen::{AmbiguousSpec, World, WorldConfig};
+
+    /// Labels and every merge's ids, size and similarity bits.
+    fn assert_same_answer(a: &ResolveOutcome, b: &ResolveOutcome) {
+        let bits = |o: &ResolveOutcome| -> Vec<(usize, usize, usize, u64)> {
+            let merges = o.clustering.dendrogram.merges().iter();
+            merges
+                .map(|m| (m.a, m.b, m.size, m.similarity.to_bits()))
+                .collect()
+        };
+        assert_eq!(a.clustering.labels, b.clustering.labels);
+        assert_eq!(bits(a), bits(b));
+    }
+
+    /// Kernel units balance: every scheduled unit was pruned, evaluated or
+    /// served from the pair cache.
+    fn assert_balanced(o: &ResolveOutcome) {
+        let e = &o.exec;
+        assert_eq!(
+            e.pairs_pruned + e.pairs_exact + e.pairs_cached,
+            e.pairs_total
+        );
+    }
 
     fn dataset() -> datagen::DblpDataset {
         let mut config = WorldConfig::tiny(21);
@@ -981,19 +866,18 @@ mod tests {
             warm.exec.pairs_total
         );
         assert_eq!(warm.exec.arena_rows_interned, 0);
-        assert_eq!(
-            warm.exec.pairs_pruned + warm.exec.pairs_exact + warm.exec.pairs_cached,
-            warm.exec.pairs_total
-        );
+        assert_eq!(warm.exec.pairs_dirty, warm.exec.pairs_exact);
+        assert_eq!(warm.exec.names_affected, 1);
+        assert_balanced(&warm);
 
         // A second engine that saw the union from the start: the batch
-        // reference partition the incremental path must converge to.
+        // answer the incremental path must reproduce, merges included.
         let mut union = engine(&d);
         union.apply_updates(&updates).unwrap();
         let refs_union = union.references_of("Wei Wang");
         assert_eq!(refs_union, refs1);
         let batch = union.resolve(&ResolveRequest::new(&refs_union));
-        assert_eq!(warm.clustering.labels, batch.clustering.labels);
+        assert_same_answer(&warm, &batch);
     }
 
     #[test]
@@ -1023,31 +907,98 @@ mod tests {
         for truth in &d.truths {
             let batch = e.resolve(&ResolveRequest::new(&truth.refs));
             let inc = e.resolve(&ResolveRequest::incremental(&truth.refs));
-            assert_eq!(inc.clustering.labels, batch.clustering.labels);
+            assert_same_answer(&inc, &batch);
         }
     }
 
     #[test]
-    fn incremental_preconditions_fall_back_to_batch() {
+    fn constrained_and_zero_threshold_requests_use_the_cache() {
         let d = dataset();
         let e = engine(&d);
         let refs = e.references_of("Wei Wang");
-        // A subset of a name's references is not incrementally resolvable;
-        // the fall-back batch path must still answer.
-        let subset = &refs[..refs.len() - 1];
-        let outcome = e.resolve(&ResolveRequest::incremental(subset));
-        assert_eq!(outcome.clustering.labels.len(), subset.len());
-        // Constraints force the batch path too.
-        let constrained = e.resolve(&ResolveRequest::incremental(&refs).cannot_link(&[(0, 1)]));
+        let cold = e.resolve(&ResolveRequest::incremental(&refs));
+        assert_eq!(cold.exec.pairs_cached, 0);
+
+        // Constraints and the threshold shape the clustering, not the leaf
+        // tables: a warm name serves both from the cache.
+        let cannot = [(0, 1)];
+        let constrained = e.resolve(&ResolveRequest::incremental(&refs).cannot_link(&cannot));
+        assert_eq!(constrained.exec.pairs_cached, constrained.exec.pairs_total);
         assert_ne!(
             constrained.clustering.labels[0],
             constrained.clustering.labels[1]
         );
-        // And a changed threshold invalidates cached component cuts
-        // without breaking equality with batch.
-        let batch = e.resolve(&ResolveRequest::new(&refs).min_sim(0.05));
-        let inc = e.resolve(&ResolveRequest::incremental(&refs).min_sim(0.05));
-        assert_eq!(inc.clustering.labels, batch.clustering.labels);
+        let batch = e.resolve(&ResolveRequest::new(&refs).cannot_link(&cannot));
+        assert_same_answer(&constrained, &batch);
+
+        let zero = e.resolve(&ResolveRequest::incremental(&refs).min_sim(0.0));
+        assert_eq!(zero.exec.pairs_cached, zero.exec.pairs_total);
+        let batch = e.resolve(&ResolveRequest::new(&refs).min_sim(0.0));
+        assert_same_answer(&zero, &batch);
+
+        // A subset of a name's references is no name's cache key: it
+        // builds, leaves the name's entry alone, and still equals batch.
+        let subset = &refs[..refs.len() - 1];
+        let built = e.resolve(&ResolveRequest::incremental(subset));
+        assert_eq!(built.exec.pairs_cached, 0);
+        assert_balanced(&built);
+        assert_same_answer(&built, &e.resolve(&ResolveRequest::new(subset)));
+        let again = e.resolve(&ResolveRequest::incremental(&refs));
+        assert_eq!(again.exec.pairs_cached, again.exec.pairs_total);
+    }
+
+    #[test]
+    fn limited_incremental_requests_degrade_in_place() {
+        let d = dataset();
+        let paper_key = 100_003i64;
+        let updates = vec![
+            publication_update(&d, paper_key, "Limits After An Update"),
+            UpdateTuple::new(
+                "Publish",
+                vec![Value::str("Wei Wang"), Value::from(paper_key)],
+            ),
+        ];
+        // A warm "Wei Wang" after a one-paper update.
+        let warm_after_update = || {
+            let mut e = engine(&d);
+            let refs = e.references_of("Wei Wang");
+            assert!(e.resolve(&ResolveRequest::incremental(&refs)).is_complete());
+            e.apply_updates(&updates).unwrap();
+            e
+        };
+
+        // What the profile stage of the warm request costs, measured on
+        // an engine in the same state.
+        let probe = warm_after_update();
+        let refs = probe.references_of("Wei Wang");
+        let unlimited = probe.resolve(&ResolveRequest::incremental(&refs));
+        assert!(unlimited.exec.pairs_dirty > 0);
+        let profile_cost = unlimited.exec.profiles.logical;
+
+        // Cancelled: the profile stage stops first, before the entry is
+        // taken, so it stays warm. A budget that covers the profiles and
+        // one dirty pair: the patch stops at the second and the name goes
+        // cold.
+        let cancelled = RunControl::new();
+        cancelled.token().cancel();
+        let budget = RunControl::new().with_budget(profile_cost + probe.paths().len() as u64);
+        for (ctl, stage, stays_warm) in [
+            (&cancelled, Stage::Profiles, true),
+            (&budget, Stage::SimilarityMatrix, false),
+        ] {
+            let e = warm_after_update();
+            let limited = e.resolve(&ResolveRequest::incremental(&refs).control(ctl));
+            assert_eq!(limited.clustering.labels.len(), refs.len());
+            let degraded = limited.degraded.expect("a tripped limit degrades");
+            assert_eq!(degraded.stage, stage);
+
+            // The next unlimited request equals batch and balances.
+            let next = e.resolve(&ResolveRequest::incremental(&refs));
+            assert!(next.is_complete());
+            assert_eq!(next.exec.pairs_cached > 0, stays_warm, "{stage:?}");
+            assert_balanced(&next);
+            assert_same_answer(&next, &e.resolve(&ResolveRequest::new(&refs)));
+        }
     }
 
     #[test]
@@ -1070,9 +1021,8 @@ mod tests {
     /// Dynamic pin of the lock-scope rule lint D106 proves statically:
     /// the name-cache guard is released before any exec pool boundary —
     /// at the takeout helper (its guard dies inside the single
-    /// statement) and along the whole incremental repair (the
-    /// `debug_assert!` at the fanout fires under `cargo test` if the
-    /// scope ever widens again).
+    /// statement, and its `debug_assert!` fires under `cargo test` if the
+    /// scope ever widens again) and along the whole resolve.
     #[test]
     fn name_cache_guard_is_never_held_across_the_pool_boundary() {
         let d = dataset();
@@ -1082,16 +1032,16 @@ mod tests {
             .resolve(&ResolveRequest::incremental(&refs0))
             .is_complete());
 
-        let entry = e.take_name_entry("Wei Wang");
+        let entry = e.take_name_entry("Wei Wang", &refs0);
         assert!(entry.is_some(), "warm resolve must have cached the name");
         assert!(
             !e.names.is_locked(),
             "take_name_entry leaked its guard past the statement"
         );
 
-        // Warm the cache again, update, and run the full repair — it
-        // crosses the profile/similarity/clustering fanouts with debug
-        // assertions on, so the boundary assert rides along.
+        // Warm the cache again, update, and patch — the resolve crosses
+        // the profile/similarity/clustering fanouts with debug assertions
+        // on, so the boundary assert rides along.
         assert!(e
             .resolve(&ResolveRequest::incremental(&refs0))
             .is_complete());

@@ -837,9 +837,7 @@ fn stmt_sink(
             {
                 return Some(format!("a durable write (`{name}`)"));
             }
-            "agglomerate" | "agglomerate_exec" | "connected_components" | "compose"
-                if args_tainted() =>
-            {
+            "agglomerate" | "agglomerate_exec" if args_tainted() => {
                 return Some(format!("clustering input (`{}`)", c.name));
             }
             _ => {}

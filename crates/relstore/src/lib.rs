@@ -16,9 +16,7 @@
 //! * attribute-value expansion turning each data value into a pseudo-tuple
 //!   ([`expand`], paper §2.1);
 //! * CSV import/export ([`csv`]) and whole-catalog persistence
-//!   ([`persist`]);
-//! * a small relational-algebra query layer ([`query`]): select, project,
-//!   equi-join, order, limit.
+//!   ([`persist`]).
 //!
 //! ```
 //! use relstore::{Catalog, SchemaBuilder, AttrType, Value};
@@ -48,7 +46,6 @@ pub mod faults;
 pub mod fxhash;
 pub mod join;
 pub mod persist;
-pub mod query;
 pub mod relation;
 pub mod schema;
 pub mod traverse;
@@ -65,7 +62,6 @@ pub use persist::{
     fnv1a64, load_catalog, load_catalog_with, save_catalog, save_catalog_with, write_atomic,
     Manifest, ManifestEntry,
 };
-pub use query::{Predicate, Query, Rows};
 pub use relation::Relation;
 pub use schema::{AttrRole, Attribute, RelationSchema, SchemaBuilder};
 pub use traverse::{path_tuple_set, path_tuples, step_fanout, step_tuples};

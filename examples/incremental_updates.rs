@@ -1,9 +1,9 @@
 //! Incremental resolution: new tuples stream into a prepared engine and
-//! only the touched part of the answer is recomputed — dirty tracking,
-//! warm pair caches, component-local re-clustering, and the durable
-//! update-stream path. The streaming partitions are bit-identical to
-//! cold batch resolves over the same catalog. See DESIGN.md §16 and the
-//! convergence oracle in `tests/oracle_metamorphic.rs`.
+//! only the touched pairs are re-scored — dirty tracking, warm pair
+//! caches, and the durable update-stream path. The streaming partitions
+//! and merges are bit-identical to cold batch resolves over the same
+//! catalog. See DESIGN.md §16 and the convergence oracle in
+//! `tests/oracle_metamorphic.rs`.
 //!
 //! Run: `cargo run --release --example incremental_updates`
 
@@ -70,6 +70,11 @@ fn main() {
     assert_eq!(
         streamed.clustering.labels, cold.clustering.labels,
         "streaming must converge to the cold batch partition"
+    );
+    assert_eq!(
+        streamed.clustering.dendrogram.merges(),
+        cold.clustering.dendrogram.merges(),
+        "and to its merges"
     );
     let k = cold.clustering.labels.iter().copied().max().unwrap_or(0) + 1;
     println!(

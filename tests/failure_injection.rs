@@ -18,8 +18,8 @@ use distinct::{
 };
 use proptest::prelude::*;
 use relstore::{
-    persist, AttrType, Catalog, FaultKind, FaultPlan, FaultyVfs, Predicate, Query, SchemaBuilder,
-    StoreError, Tuple, Value,
+    persist, AttrType, Catalog, FaultKind, FaultPlan, FaultyVfs, SchemaBuilder, StoreError, Tuple,
+    Value,
 };
 
 // ---------------------------------------------------------------------------
@@ -425,30 +425,6 @@ fn resolving_a_nonexistent_name_is_a_no_op() {
     assert!(refs.is_empty());
     assert!(clustering.labels.is_empty());
     assert_eq!(clustering.cluster_count(), 0);
-}
-
-#[test]
-fn query_layer_rejects_type_confusion_gracefully() {
-    let mut c = Catalog::new();
-    c.add_relation(
-        SchemaBuilder::new("A")
-            .key("a", AttrType::Int)
-            .data("s", AttrType::Str)
-            .build()
-            .unwrap(),
-    )
-    .unwrap();
-    c.insert("A", [Value::Int(1), Value::str("x")].into())
-        .unwrap();
-    c.finalize(true).unwrap();
-    // Comparing an int column against a string value simply matches
-    // nothing (cross-type order is total but never equal).
-    let rows = Query::new(&c, "A")
-        .unwrap()
-        .filter("a", Predicate::Eq(Value::str("1")))
-        .run()
-        .unwrap();
-    assert!(rows.is_empty());
 }
 
 #[test]
