@@ -4,14 +4,17 @@
 //! paper's hardest name ("Wei Wang") once, then a *single new paper* by
 //! that author arrives as an update — one `Publications` row plus one
 //! `Publish` row. The incremental path applies the tuples, dirties the
-//! touched neighborhood, and re-scores only the dirty pairs against the
-//! warm pair cache; the baseline recomputes everything from scratch
-//! (`Distinct::prepare` on the union catalog plus a batch resolve).
+//! touched neighborhood and evicts its profiles, then re-resolves the
+//! name over the warm profile cache, recomputing only the evicted and
+//! added profiles and rebuilding the name's tables; the baseline
+//! recomputes everything from scratch (`Distinct::prepare` on the union
+//! catalog plus a batch resolve).
 //!
-//! The rung reports both wall times, their ratio, and the kernel-unit
-//! accounting of the incremental resolve (`pairs_dirty` out of
-//! `pairs_total`, the rest served from cache), and cross-checks that the
-//! incremental partition is bit-identical to the cold one.
+//! The rung reports both wall times, their ratio, the profiles the
+//! update's resolve recomputed (`profiles_computed` out of the name's
+//! `name_references`), and the kernel-unit accounting of the rebuilt
+//! tables, and cross-checks that the incremental partition is
+//! bit-identical to the cold one.
 //!
 //! Run: `cargo run --release -p distinct-bench --bin bench_incremental -- \
 //!       [laptop|paper]` (default: `paper`, the checked-in reference
@@ -116,11 +119,11 @@ fn main() -> Result<(), BenchError> {
     .stage(BIN, "prepare the engine")?;
     let prepare_ms = ms(t1.elapsed());
 
-    // Warm resolve: the steady state an update arrives into. Issued as an
-    // incremental request so the name's pair tables land in the cache.
+    // Warm resolve: the steady state an update arrives into, with the
+    // name's profiles in the cache.
     let refs_before = engine.references_of(NAME);
     let t2 = Instant::now();
-    let warm = engine.resolve(&ResolveRequest::incremental(&refs_before));
+    let warm = engine.resolve(&ResolveRequest::new(&refs_before));
     let warm_resolve_ms = ms_frac(t2.elapsed());
     assert!(warm.is_complete(), "warm resolve degraded");
 
@@ -132,7 +135,7 @@ fn main() -> Result<(), BenchError> {
         .stage(BIN, "apply the one-paper update")?;
     let apply_ms = ms_frac(t3.elapsed());
     let refs_after = engine.references_of(NAME);
-    let incremental = engine.resolve(&ResolveRequest::incremental(&refs_after));
+    let incremental = engine.resolve(&ResolveRequest::new(&refs_after));
     let update_ms = ms_frac(t3.elapsed());
     assert_eq!(report.applied, updates.len(), "update rows must be new");
     assert_eq!(refs_after.len(), refs_before.len() + 1);
@@ -156,16 +159,24 @@ fn main() -> Result<(), BenchError> {
 
     let exec = &incremental.exec;
     assert_eq!(
-        exec.pairs_pruned + exec.pairs_exact + exec.pairs_cached,
+        exec.pairs_pruned + exec.pairs_exact,
         exec.pairs_total,
         "kernel-unit accounting must balance"
     );
+    let profiles_computed = exec.profiles.tasks;
     assert!(
-        exec.pairs_dirty * 10 <= exec.pairs_total,
-        "a one-paper update should dirty a small fraction of the pairs \
-         ({} of {})",
-        exec.pairs_dirty,
-        exec.pairs_total
+        profiles_computed >= report.refs_added
+            && profiles_computed <= report.refs_dirtied + report.refs_added,
+        "the update's resolve computed {profiles_computed} profiles for {} added \
+         and {} dirtied references",
+        report.refs_added,
+        report.refs_dirtied
+    );
+    assert!(
+        profiles_computed * 10 <= refs_after.len(),
+        "a one-paper update should recompute a small fraction of the name's \
+         profiles ({profiles_computed} of {})",
+        refs_after.len()
     );
     let speedup = cold_ms / update_ms.max(1e-6);
 
@@ -177,8 +188,8 @@ fn main() -> Result<(), BenchError> {
          \"prepare_ms\": {prepare_ms},\n  \"warm_resolve_ms\": {warm_resolve_ms:.3},\n  \
          \"update\": {{\n    \"tuples\": {},\n    \"refs_added\": {},\n    \"refs_dirtied\": {},\n    \
          \"names_affected\": {},\n    \"apply_ms\": {apply_ms:.3},\n    \"update_ms\": {update_ms:.3},\n    \"cold_ms\": {cold_ms:.3},\n    \
-         \"speedup\": {speedup:.1},\n    \"pairs_total\": {},\n    \"pairs_dirty\": {},\n    \
-         \"pairs_cached\": {},\n    \"pairs_exact\": {},\n    \"pairs_pruned\": {},\n    \
+         \"speedup\": {speedup:.1},\n    \"profiles_computed\": {profiles_computed},\n    \
+         \"pairs_total\": {},\n    \"pairs_exact\": {},\n    \"pairs_pruned\": {},\n    \
          \"arena_rows_interned\": {}\n  }}\n}}\n",
         config.n_authors,
         refs_after.len(),
@@ -188,8 +199,6 @@ fn main() -> Result<(), BenchError> {
         report.refs_dirtied,
         report.names_affected,
         exec.pairs_total,
-        exec.pairs_dirty,
-        exec.pairs_cached,
         exec.pairs_exact,
         exec.pairs_pruned,
         exec.arena_rows_interned,
@@ -201,9 +210,8 @@ fn main() -> Result<(), BenchError> {
     std::fs::write(&path, &json).stage(BIN, "write the rung JSON")?;
     eprintln!(
         "[{scale}] update {update_ms:.1} ms vs cold {cold_ms:.1} ms \
-         ({speedup:.0}x, {} of {} pair-units dirty) -> {}",
-        exec.pairs_dirty,
-        exec.pairs_total,
+         ({speedup:.0}x, {profiles_computed} of {} profiles recomputed) -> {}",
+        refs_after.len(),
         path.display()
     );
     Ok(())

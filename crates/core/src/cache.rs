@@ -13,11 +13,14 @@
 //! Placeholder profiles ([`crate::features::empty_profile`]) are refused:
 //! caching one would make a later, unrestricted run silently reuse a
 //! zero-mass profile instead of recomputing the real one.
+//!
+//! Locking ignores poisoning: every critical section is one map call, so
+//! a panic elsewhere on a thread holding a guard cannot leave a shard
+//! half-updated.
 
 use crate::features::Profile;
-use parking_lot::Mutex;
 use relstore::{FxHashMap, TupleRef};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Shard count: a small power of two comfortably above any realistic
 /// worker count, so concurrent inserts rarely contend.
@@ -50,12 +53,19 @@ impl ProfileCache {
 
     /// The cached profile for `r`, if one has been inserted.
     pub fn get(&self, r: &TupleRef) -> Option<Arc<Profile>> {
-        self.shard(r).lock().get(r).map(Arc::clone)
+        self.shard(r)
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(r)
+            .map(Arc::clone)
     }
 
     /// Whether a profile for `r` is already cached.
     pub fn contains(&self, r: &TupleRef) -> bool {
-        self.shard(r).lock().contains_key(r)
+        self.shard(r)
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .contains_key(r)
     }
 
     /// Insert a computed profile, keeping any entry that won a concurrent
@@ -65,12 +75,19 @@ impl ProfileCache {
         if p.placeholder {
             return;
         }
-        self.shard(&r).lock().entry(r).or_insert(p);
+        self.shard(&r)
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(r)
+            .or_insert(p);
     }
 
     /// Total number of cached profiles across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).len())
+            .sum()
     }
 
     /// All entries, in unspecified order (checkpointing sorts them).
@@ -79,6 +96,7 @@ impl ProfileCache {
             .iter()
             .flat_map(|s| {
                 s.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
                     .iter()
                     .map(|(&r, p)| (r, Arc::clone(p)))
                     .collect::<Vec<_>>()
@@ -93,7 +111,7 @@ impl ProfileCache {
     /// run recomputes bit-identical values.
     pub fn evict_all(&self) {
         for shard in &self.shards {
-            shard.lock().clear();
+            shard.lock().unwrap_or_else(PoisonError::into_inner).clear();
         }
     }
 
@@ -102,14 +120,17 @@ impl ProfileCache {
     /// update touched need recomputation, everything else stays cached.
     pub fn evict(&self, refs: &[TupleRef]) {
         for r in refs {
-            self.shard(r).lock().remove(r);
+            self.shard(r)
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .remove(r);
         }
     }
 
     /// Replace the whole cache (checkpoint restore).
     pub fn replace(&self, entries: Vec<(TupleRef, Arc<Profile>)>) {
         for shard in &self.shards {
-            shard.lock().clear();
+            shard.lock().unwrap_or_else(PoisonError::into_inner).clear();
         }
         for (r, p) in entries {
             self.insert(r, p);

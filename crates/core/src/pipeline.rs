@@ -225,15 +225,6 @@ pub struct Distinct {
     pub(crate) weights: PathWeights,
     pub(crate) learned: Option<LearnedModel>,
     pub(crate) profile_cache: ProfileCache,
-    /// Bumped whenever the installed weights (or the measure settings a
-    /// model import carries) change; cached per-name similarity tables are
-    /// only valid for the epoch they were built under.
-    pub(crate) weights_epoch: u64,
-    /// Per-name incremental state: leaf similarity tables and dirty
-    /// marks (see [`crate::update`]). Only
-    /// [`ResolveRequest::incremental`] requests read or write it.
-    // distinct-lint: shared(exclusive takeout: an entry leaves the map before pool fanout and returns after the ordered commit, so no guard spans a boundary)
-    pub(crate) names: parking_lot::Mutex<crate::update::NameCache>,
     /// Recycled [`relgraph::SetArena`]s for the pruned similarity
     /// kernel: each similarity stage takes one arena per join path,
     /// rebuilds it in place, and parks it back here, so repeat resolves
@@ -301,9 +292,6 @@ impl Distinct {
             learned: None,
             // distinct-lint: scratch(keyed memo: one profile per reference, computed on demand, shared via Arc, evicted when an update batch dirties the reference)
             profile_cache: ProfileCache::new(),
-            weights_epoch: 0,
-            // distinct-lint: scratch(per-name takeout: incremental resolves remove a name's entry, patch it unlocked, and reinsert; weight-epoch bumps and update batches invalidate entries)
-            names: parking_lot::Mutex::new(crate::update::NameCache::default()),
             // distinct-lint: scratch(engine-owned free list: similarity stages take arenas at start, rebuild them in place, and park them back for the next resolve of any name)
             arena_pool: relgraph::ArenaPool::new(),
             // distinct-lint: scratch(rebuilt per update batch: apply_updates recompiles the phase-1 neighborhood into the same adjacency/index/stamp buffers, clearing content but keeping capacity)
@@ -360,7 +348,6 @@ impl Distinct {
             )));
         }
         self.weights = weights;
-        self.weights_epoch += 1;
         Ok(())
     }
 
@@ -428,27 +415,14 @@ impl Distinct {
     /// suffices); profiles computed here land in the shared cache, making
     /// this also a deterministic cache-warming primitive for
     /// warm-vs-cold differential runs.
-    pub fn stage_probe(&self, refs: &[TupleRef]) -> crate::probe::StageProbe {
-        self.stage_probe_with(refs, &relgraph::Resemblance::default())
-    }
-
-    /// [`Distinct::stage_probe`] under an explicit similarity kernel —
-    /// the hook the oracle differential suite uses to pin
-    /// [`relgraph::Resemblance::Exact`] and the pruned default against
-    /// each other bit for bit.
     // distinct-lint: allow(D005, reason="documented sequential diagnostic surface outside resolve()'s budget scope")
-    pub fn stage_probe_with(
-        &self,
-        refs: &[TupleRef],
-        kernel: &relgraph::Resemblance,
-    ) -> crate::probe::StageProbe {
+    pub fn stage_probe(&self, refs: &[TupleRef]) -> crate::probe::StageProbe {
         let profiles: Vec<Arc<Profile>> = refs.iter().map(|&r| self.profile(r)).collect();
         let (merger, _, _) = DistinctMerger::from_profiles_exec(
             &profiles,
             &self.weights,
             self.config.measure,
             self.config.composite,
-            kernel,
             &exec::Executor::sequential(),
             &|_| true,
         );
@@ -701,13 +675,11 @@ impl Distinct {
                 pairs_exact: 0,
                 pairs_cached: 0,
                 pairs_dirty: 0,
-                names_affected: 0,
                 arena_rows_interned: 0,
             },
         };
         if self.config.weighting == WeightingMode::Supervised {
             self.weights = model.weights.clone();
-            self.weights_epoch += 1;
         }
         self.learned = Some(model);
         Ok(report)
@@ -748,42 +720,34 @@ impl Distinct {
     /// [`Degraded`] report when any limit tripped, plus an [`ExecReport`]
     /// with per-stage task counts and wall times.
     ///
-    /// A request built with [`ResolveRequest::incremental`] over exactly
-    /// one name's current references uses that name's cached tables (see
-    /// [`crate::update`]): clean pairs are copied and only dirty pairs are
-    /// re-scored. A cold or stale cache entry builds the tables instead.
-    /// Either way the fresh tables go back into the cache, and they, and
-    /// so the partition and every merge, equal a batch resolve's bit for
-    /// bit.
+    /// After [`Distinct::apply_updates`], only the profiles the update
+    /// evicted or added are computed; every other profile comes from the
+    /// cache, and the tables are built afresh, so the answer equals a
+    /// fresh engine's on the grown catalog bit for bit.
     pub fn resolve(&self, req: &ResolveRequest<'_>) -> ResolveOutcome {
         let unlimited = RunControl::new();
         let ctl = req.control.unwrap_or(&unlimited);
-        let source = match req.incremental.then(|| self.cached_name(req.refs)) {
-            Some(Some(name)) => TableSource::Cached(name),
-            _ => TableSource::Built,
-        };
-        let Ok(outcome) = self.resolve_staged(req, ctl, None, source, |_| Ok::<(), Infallible>(()));
+        let Ok(outcome) = self.resolve_staged(req, ctl, None, None, |_| Ok::<(), Infallible>(()));
         outcome
     }
 
     /// The one resolve driver, behind [`Distinct::resolve`] and
     /// [`Distinct::resolve_durable_with`]: profiles, then the pairwise
-    /// similarity tables from `source`, then agglomerative clustering,
-    /// with the trip bookkeeping, the singleton fallback and the
-    /// [`ExecReport`] in one place.
+    /// similarity tables, then agglomerative clustering, with the trip
+    /// bookkeeping, the singleton fallback and the [`ExecReport`] in one
+    /// place. `restored` tables (a durable run's `similarity.ck`) skip
+    /// the profile and similarity stages.
     ///
     /// Every stage charges its work against `ctl`, and each charge also
     /// beats `heartbeat` when one is given (the durable path's watchdog
-    /// listens to it). `commit_tables` gets freshly built or patched
-    /// tables when no stage has tripped; its error aborts the run before
-    /// clustering. A [`TableSource::Cached`] run puts the same fresh
-    /// tables back into the name cache after clustering.
+    /// listens to it). `commit_tables` gets freshly built tables when no
+    /// stage has tripped; its error aborts the run before clustering.
     pub(crate) fn resolve_staged<E>(
         &self,
         req: &ResolveRequest<'_>,
         ctl: &RunControl,
         heartbeat: Option<&exec::Heartbeat>,
-        source: TableSource,
+        restored: Option<DistinctMerger>,
         commit_tables: impl FnOnce(&DistinctMerger) -> Result<(), E>,
     ) -> Result<ResolveOutcome, E> {
         let charge = ctl.shared_guard();
@@ -806,13 +770,9 @@ impl Distinct {
         let (mut profile_stats, mut profile_logical) = (exec::ParStats::default(), 0);
         let (mut matrix_stats, mut similarity_logical) = (exec::ParStats::default(), 0);
         let mut pair_counters = crate::refcluster::PairCounters::default();
-        let mut pairs_dirty = 0;
-        // The name whose cache entry takes the tables back, once they are
-        // known to be complete.
-        let mut keep_as = None;
-        let merger = match source {
-            TableSource::Restored(tables) => Some(tables),
-            source => {
+        let merger = match restored {
+            Some(tables) => Some(tables),
+            None => {
                 // Stage 1: profiles (placeholders for anything a limit
                 // cut off).
                 let logical0 = ctl.spent();
@@ -824,40 +784,22 @@ impl Distinct {
                     tripped(&mut trip, Stage::Profiles);
                 }
 
-                // Stage 2: pairwise similarity tables, patched from a warm
-                // cache entry only over real profiles, built otherwise.
+                // Stage 2: pairwise similarity tables.
                 let logical1 = ctl.spent();
-                let name = match source {
-                    TableSource::Cached(name) => Some(name),
-                    _ => None,
-                };
-                let entry = name
-                    .as_deref()
-                    .filter(|_| profiles_computed == n)
-                    .and_then(|name| self.take_name_entry(name, req.refs));
-                let (built, stats, counters) = match entry {
-                    Some(entry) => {
-                        let patched = self.patch_tables(entry, req.refs, &profiles, &guard);
-                        pairs_dirty = patched.2.exact;
-                        patched
-                    }
-                    None => DistinctMerger::from_profiles_pooled(
-                        &profiles,
-                        &self.weights,
-                        self.config.measure,
-                        self.config.composite,
-                        &req.resemblance,
-                        &executor,
-                        &guard,
-                        &self.arena_pool,
-                    ),
-                };
+                let (built, stats, counters) = DistinctMerger::from_profiles_pooled(
+                    &profiles,
+                    &self.weights,
+                    self.config.measure,
+                    self.config.composite,
+                    &executor,
+                    &guard,
+                    &self.arena_pool,
+                );
                 matrix_stats = stats;
                 similarity_logical = ctl.spent().saturating_sub(logical1);
                 pair_counters = counters;
                 if let (Some(tables), None) = (&built, trip) {
                     commit_tables(tables)?;
-                    keep_as = name;
                 }
                 built
             }
@@ -868,18 +810,13 @@ impl Distinct {
         // distinct-lint: allow(D004, reason="wall time feeds ExecReport stage timings only; control flow stays with RunControl")
         let clock = Instant::now();
         let logical2 = ctl.spent();
-        let (partial, mut cluster_stats, clustered) = match merger {
+        let (partial, mut cluster_stats) = match merger {
             Some(inner) if req.is_constrained() => {
                 let mut constrained =
                     ConstrainedMerger::new(inner, n, &req.must_link, &req.cannot_link);
-                let (partial, stats) =
-                    agglomerate_exec(n, &mut constrained, min_sim, &executor, &guard);
-                (partial, stats, Some(constrained.into_inner()))
+                agglomerate_exec(n, &mut constrained, min_sim, &executor, &guard)
             }
-            Some(mut inner) => {
-                let (partial, stats) = agglomerate_exec(n, &mut inner, min_sim, &executor, &guard);
-                (partial, stats, Some(inner))
-            }
+            Some(mut inner) => agglomerate_exec(n, &mut inner, min_sim, &executor, &guard),
             None => {
                 // The matrix build was cut short: every reference stays a
                 // singleton (an empty dendrogram cut below any threshold).
@@ -897,7 +834,6 @@ impl Distinct {
                         completed: false,
                     },
                     stats,
-                    None,
                 )
             }
         };
@@ -905,9 +841,6 @@ impl Distinct {
         let clustering_logical = ctl.spent().saturating_sub(logical2);
         if !partial.completed {
             tripped(&mut trip, Stage::Clustering);
-        }
-        if let (Some(name), Some(tables)) = (keep_as, clustered) {
-            self.put_name_entry(name, req.refs, tables);
         }
         let degraded = trip.map(|(stage, kind)| Degraded {
             stage,
@@ -927,9 +860,8 @@ impl Distinct {
                 pairs_total: pair_counters.total,
                 pairs_pruned: pair_counters.pruned,
                 pairs_exact: pair_counters.exact,
-                pairs_cached: pair_counters.cached,
-                pairs_dirty,
-                names_affected: u64::from(pairs_dirty > 0),
+                pairs_cached: 0,
+                pairs_dirty: 0,
                 arena_rows_interned: pair_counters.interned,
             },
         })
@@ -979,22 +911,6 @@ impl Distinct {
         self.config.composite = saved.config.composite;
         Ok(())
     }
-}
-
-/// Where [`Distinct::resolve_staged`] gets a run's leaf similarity tables.
-pub(crate) enum TableSource {
-    /// The profile and similarity stages build them.
-    Built,
-    /// Tables a durable run committed (`similarity.ck`): the profile and
-    /// similarity stages are skipped.
-    Restored(DistinctMerger),
-    /// The name cache's entry for this name (see [`crate::update`]):
-    /// after the profile stage, a warm entry is taken out and
-    /// [`Distinct::patch_tables`] copies its clean pairs and re-scores the
-    /// dirty ones. A missing or stale entry, or a profile stage cut short,
-    /// builds instead. Complete tables go back under the name after
-    /// clustering.
-    Cached(String),
 }
 
 /// On-disk form of a trained engine (see [`Distinct::export_model`]).

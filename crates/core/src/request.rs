@@ -16,7 +16,6 @@
 //! ```
 
 use crate::control::RunControl;
-use relgraph::Resemblance;
 use relstore::TupleRef;
 use std::path::Path;
 use std::time::Duration;
@@ -76,29 +75,23 @@ pub struct ExecReport {
     pub pairs_total: u64,
     /// Kernel units the pruned engine skipped because every kernel value
     /// was provably exactly zero (support-overlap certificate).
-    /// Always `0` under [`relgraph::Resemblance::Exact`] and on a warm
-    /// incremental resolve. Invariant: `pairs_pruned + pairs_exact +
-    /// pairs_cached == pairs_total`.
+    /// Invariant: `pairs_pruned + pairs_exact == pairs_total`.
     pub pairs_pruned: u64,
     /// Kernel units whose exact merge-join kernels were evaluated (or
     /// reused from a content-identical row pair).
     pub pairs_exact: u64,
-    /// Kernel units copied verbatim from the tables of a previous resolve
-    /// of the same name (incremental requests only; a cold run reports
-    /// `0`).
+    /// Always `0`: every resolve builds its tables or restores them from
+    /// a durable run, so no kernel unit is copied from an earlier
+    /// resolve. Kept, with [`ExecReport::pairs_dirty`], because the
+    /// repository's benchmark (`perfbench/`) still reads it.
     pub pairs_cached: u64,
-    /// Kernel units an incremental resolve had to re-score because an
-    /// update changed at least one endpoint's neighborhood. Always `≤
-    /// pairs_total` and `0` for batch runs; the headline delta-engine
-    /// claim is `pairs_dirty ≪ pairs_total`.
+    /// Always `0`, like [`ExecReport::pairs_cached`]: what an update
+    /// changed shows in the profile stage instead (`profiles.tasks`
+    /// counts the evicted and added references' recomputed profiles).
     pub pairs_dirty: u64,
-    /// Distinct reference names whose cached state the triggering updates
-    /// invalidated (incremental requests only, `0` for batch runs).
-    pub names_affected: u64,
     /// Distinct neighbor-set rows interned into per-path `SetArena`s
-    /// during this run. A warm incremental resolve that re-uses its cached
-    /// tables reports `0` — the regression guard for the
-    /// arena-rebuild-per-call waste.
+    /// during this run; `0` when the tables were restored from a durable
+    /// run's `similarity.ck` instead of built.
     pub arena_rows_interned: u64,
 }
 
@@ -136,8 +129,6 @@ pub struct ResolveRequest<'a> {
     pub(crate) control: Option<&'a RunControl>,
     pub(crate) threads: Option<usize>,
     pub(crate) run_dir: Option<&'a Path>,
-    pub(crate) resemblance: Resemblance,
-    pub(crate) incremental: bool,
 }
 
 impl<'a> ResolveRequest<'a> {
@@ -149,25 +140,14 @@ impl<'a> ResolveRequest<'a> {
         }
     }
 
-    /// A request that reuses the engine's cached per-name similarity
-    /// tables, re-scoring only the pairs that
-    /// [`crate::Distinct::apply_updates`] dirtied, and then clusters as
-    /// [`ResolveRequest::new`] does, so labels and merges are always
-    /// identical to the batch request's. Constraints, thresholds and
-    /// limits apply as they do there. Only `refs` that are not exactly
-    /// the engine's current reference set for one name (in tuple order),
-    /// or a cold or stale cache entry, build the tables fresh.
+    /// The same request as [`ResolveRequest::new`]. Incremental state
+    /// lives in the engine's profile cache, which every resolve reads:
+    /// after [`crate::Distinct::apply_updates`] a resolve recomputes only
+    /// the evicted and added references' profiles and rebuilds the
+    /// name's tables. Kept as an alias because the repository's benchmark
+    /// (`perfbench/`) still calls it.
     pub fn incremental(refs: &'a [TupleRef]) -> Self {
-        ResolveRequest {
-            refs,
-            incremental: true,
-            ..Default::default()
-        }
-    }
-
-    /// Whether this request opted into the incremental path.
-    pub fn is_incremental(&self) -> bool {
-        self.incremental
+        Self::new(refs)
     }
 
     /// Override the clustering threshold for this run only (the baselines'
@@ -218,25 +198,6 @@ impl<'a> ResolveRequest<'a> {
     pub fn resume(mut self, run_dir: &'a Path) -> Self {
         self.run_dir = Some(run_dir);
         self
-    }
-
-    /// Select the similarity kernel for this run. The default is
-    /// [`Resemblance::Pruned`] — bit-identical results to
-    /// [`Resemblance::Exact`], which stays one call away:
-    ///
-    /// ```text
-    /// let req = ResolveRequest::new(&refs).similarity(Resemblance::Exact);
-    /// ```
-    ///
-    /// Neither kernel has parameters, so there is nothing to validate.
-    pub fn similarity(mut self, kernel: Resemblance) -> Self {
-        self.resemblance = kernel;
-        self
-    }
-
-    /// The similarity kernel this request will run with.
-    pub fn similarity_kernel(&self) -> Resemblance {
-        self.resemblance
     }
 
     /// The run directory set by [`ResolveRequest::resume`], if any.
@@ -342,17 +303,6 @@ mod tests {
         assert!(!bare.is_constrained());
         assert!(bare.min_sim.is_none());
         assert!(bare.threads.is_none());
-        // The fast path is the default path.
-        assert_eq!(bare.similarity_kernel(), Resemblance::Pruned);
-    }
-
-    #[test]
-    fn similarity_builder_selects_the_kernel() {
-        let refs = vec![TupleRef::new(RelId(0), TupleId(0))];
-        let req = ResolveRequest::new(&refs).similarity(Resemblance::Exact);
-        assert_eq!(req.similarity_kernel(), Resemblance::Exact);
-        let req = req.similarity(Resemblance::Pruned);
-        assert_eq!(req.similarity_kernel(), Resemblance::Pruned);
     }
 
     #[test]
@@ -376,19 +326,15 @@ mod tests {
             peak_rss_bytes: 0,
             pairs_total: 45,
             pairs_pruned: 25,
-            pairs_exact: 15,
-            pairs_cached: 5,
-            pairs_dirty: 15,
-            names_affected: 1,
+            pairs_exact: 20,
+            pairs_cached: 0,
+            pairs_dirty: 0,
             arena_rows_interned: 12,
         };
         assert_eq!(r.total_wall(), Duration::from_millis(10));
         assert_eq!(r.total_logical(), 145);
         assert_eq!(r.max_threads(), 4);
-        assert_eq!(
-            r.pairs_pruned + r.pairs_exact + r.pairs_cached,
-            r.pairs_total
-        );
+        assert_eq!(r.pairs_pruned + r.pairs_exact, r.pairs_total);
     }
 
     #[test]

@@ -52,7 +52,7 @@
 
 use crate::checkpoint::{corrupt, Framing};
 use crate::control::{InterruptKind, RunControl};
-use crate::pipeline::{Distinct, DistinctError, ResolveOutcome, TableSource};
+use crate::pipeline::{Distinct, DistinctError, ResolveOutcome};
 use crate::refcluster::DistinctMerger;
 use crate::request::{ExecReport, ResolveRequest};
 use crate::update::{UpdateReport, UpdateTuple};
@@ -198,7 +198,7 @@ struct StreamManifest {
 }
 
 /// One committed update chunk: what applying `updates[start..start+len]`
-/// did, plus the incremental partition of every name the chunk affected.
+/// did, plus the partition of every name the chunk affected.
 #[derive(Debug, Serialize, Deserialize)]
 struct UpdateChunkCk {
     format: u32,
@@ -499,7 +499,7 @@ impl Distinct {
         // Committed tables make profiles and the similarity stage
         // unnecessary: clustering only needs the tables.
         let similarity_path = run_dir.join(SIMILARITY_FILE);
-        let source = match read_framed(vfs, &similarity_path, &mut retry, |c: &SimilarityCk| {
+        let restored = match read_framed(vfs, &similarity_path, &mut retry, |c: &SimilarityCk| {
             c.format
         })? {
             Some(ck) => {
@@ -515,13 +515,11 @@ impl Distinct {
                     self.config().measure,
                     self.config().composite,
                 );
-                TableSource::Restored(
-                    tables.ok_or_else(|| corrupt(&similarity_path, "tables are not square"))?,
-                )
+                Some(tables.ok_or_else(|| corrupt(&similarity_path, "tables are not square"))?)
             }
-            None => TableSource::Built,
+            None => None,
         };
-        report.similarity_restored = matches!(source, TableSource::Restored(_));
+        report.similarity_restored = restored.is_some();
         let over = |budget| crate::control::current_rss_bytes().is_some_and(|rss| rss > budget);
         if !report.similarity_restored && opts.memory_budget_bytes.is_some_and(over) {
             self.evict_profiles();
@@ -542,7 +540,7 @@ impl Distinct {
                 handle.interrupt(InterruptKind::Stalled);
             })
         });
-        let outcome = self.resolve_staged(req, ctl, Some(&heartbeat), source, |tables| {
+        let outcome = self.resolve_staged(req, ctl, Some(&heartbeat), restored, |tables| {
             let (resem, dwalk) = tables.to_tables();
             let ck = SimilarityCk {
                 format: RUN_FORMAT_VERSION,
@@ -581,8 +579,8 @@ impl Distinct {
     }
 
     /// The identity of one durable update stream: the base catalog state,
-    /// the entire update log, and everything that shapes the incremental
-    /// answers (weights, modes, threshold, paths).
+    /// the entire update log, and everything that shapes the answers
+    /// (weights, modes, threshold, paths).
     fn stream_fingerprint(&self, updates: &[UpdateTuple]) -> Result<String, DistinctError> {
         use std::fmt::Write as _;
         let log = serde_json::to_string(updates).map_err(|e| {
@@ -598,7 +596,7 @@ impl Distinct {
 
     /// Durable [`Distinct::apply_updates`] over a whole update log: the
     /// log is applied in chunks, and after each chunk every affected name
-    /// is re-resolved incrementally and the chunk — report plus the
+    /// is re-resolved and the chunk — report plus the
     /// affected names' partitions — is committed into the run directory.
     /// Uses the real filesystem and default [`RunOptions`].
     ///
@@ -607,7 +605,7 @@ impl Distinct {
     /// applied): committed chunks re-apply their updates to rebuild the
     /// engine's catalog and graph but take their partitions from disk
     /// without re-resolving, then the stream continues live. Because a
-    /// cold incremental resolve is bit-identical to a warm one, the
+    /// resolve over a cold profile cache is bit-identical to a warm one, the
     /// resumed stream's committed `(name, labels)` sequence is
     /// bit-identical to an uninterrupted run's (the chaos sweep in
     /// `tests/resume_chaos.rs` proves this at every kill point).
@@ -700,7 +698,7 @@ impl Distinct {
                 start = end;
                 continue;
             }
-            // Live: apply, incrementally re-resolve every affected name,
+            // Live: apply, re-resolve every affected name,
             // commit the chunk, move on. A kill at any point loses at
             // most this one chunk of resolution work.
             let chunk_report = self.apply_updates(&updates[start..end])?;
@@ -708,7 +706,7 @@ impl Distinct {
                 Vec::with_capacity(chunk_report.names.len());
             for n in &chunk_report.names {
                 let refs = self.references_of(n);
-                let resolved = self.resolve(&ResolveRequest::incremental(&refs));
+                let resolved = self.resolve(&ResolveRequest::new(&refs));
                 partitions.push((n.clone(), resolved.clustering.labels));
             }
             let ck = UpdateChunkCk {
@@ -1177,7 +1175,7 @@ mod tests {
             let heartbeat = exec::Heartbeat::new();
             let mut seen = 0;
             let outcome = e
-                .resolve_staged(&req, &ctl, Some(&heartbeat), TableSource::Built, |_| {
+                .resolve_staged(&req, &ctl, Some(&heartbeat), None, |_| {
                     seen = heartbeat.count();
                     Ok::<(), DistinctError>(())
                 })

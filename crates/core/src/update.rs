@@ -1,18 +1,16 @@
-//! Incremental resolution: append tuples, track dirtied references, and
-//! patch cached similarity tables instead of recomputing them from
-//! scratch.
+//! Incremental updates: append tuples, track dirtied references, and
+//! evict exactly their cached profiles.
 //!
 //! The batch pipeline treats the catalog as frozen; real bibliographic
 //! databases grow continuously. [`Distinct::apply_updates`] appends a
 //! batch of tuples to the engine's catalog and [`relgraph::LinkGraph`]
 //! (an overlay append — existing node ids, and therefore every cached
 //! profile, stay valid), then computes which references the batch *could*
-//! have affected. A later [`crate::ResolveRequest::incremental`] resolve
-//! runs the one resolve driver with the name's cached leaf tables as its
-//! table source: every clean pair is copied, only the dirty pairs are
-//! re-scored through the exact kernel (bit-identical to the pruned batch
-//! kernel, which is lossless), and the whole name is clustered as a batch
-//! resolve clusters it, so labels and merges equal the batch answer.
+//! have affected and evicts their profiles. The profile cache is the only
+//! incremental state: a later resolve of an affected name recomputes the
+//! evicted and added references' profiles, reuses every other one, and
+//! builds the name's tables and clustering as a batch resolve does, so
+//! labels and merges equal the batch answer on the grown catalog.
 //!
 //! # Dirty tracking
 //!
@@ -36,19 +34,18 @@
 //!    candidates (skipped entirely when the named tuple was never visited
 //!    in phase 1, in which case no route passed through it).
 //!
-//! Phase 2 is what keeps `pairs_dirty ≪ pairs_total`: without it, a new
-//! publication by one "Wei Wang" entity would mark *every* "Wei Wang"
-//! reference through the cycle `new → name → ref → paper → ref`, a route
-//! the profile propagation can never take.
+//! Phase 2 is what keeps the evictions few: without it, a new publication
+//! by one "Wei Wang" entity would mark *every* "Wei Wang" reference
+//! through the cycle `new → name → ref → paper → ref`, a route the
+//! profile propagation can never take.
 //!
 //! The sweep over-approximates (it ignores the exact relation sequences
-//! of the path set), which costs a little re-scoring but never misses an
-//! affected reference — the convergence oracle in `tests/` holds the
-//! resulting streaming partitions equal to cold batch resolves.
+//! of the path set), which costs a few needless profile recomputations
+//! but never misses an affected reference — the convergence oracle in
+//! `tests/` holds the resulting streaming partitions equal to cold batch
+//! resolves.
 
-use crate::features::{directed_walk_features, resemblance_features, weighted_sum, Profile};
 use crate::pipeline::{Distinct, DistinctError};
-use crate::refcluster::{DistinctMerger, PairCounters};
 use relgraph::{LinkGraph, NodeId};
 use relstore::{
     expand::pseudo_relation_name, AttrRole, Catalog, Direction, FkId, FxHashMap, FxHashSet,
@@ -56,8 +53,6 @@ use relstore::{
 };
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::Arc;
-use std::time::Instant;
 
 /// One tuple to append, named in the engine's *input* schema. Pseudo
 /// value relations introduced by attribute expansion are managed
@@ -94,8 +89,8 @@ pub struct UpdateReport {
     /// reference relation).
     pub refs_added: usize,
     /// Pre-existing references whose neighborhood the batch changed;
-    /// their profiles were evicted and their pairs re-score on the next
-    /// incremental resolve.
+    /// their profiles were evicted, so the next resolve of their names
+    /// recomputes them.
     pub refs_dirtied: usize,
     /// Distinct reference names across added and dirtied references
     /// (always `names.len()`).
@@ -120,26 +115,6 @@ impl UpdateReport {
         self.names_affected = self.names.len();
     }
 }
-
-/// Cached incremental state of one resolved name.
-#[derive(Debug, Clone)]
-pub(crate) struct NameEntry {
-    /// The references the tables cover, in tuple order. Updates only
-    /// append references, so this stays a prefix of the name's current
-    /// reference list.
-    pub refs: Vec<TupleRef>,
-    /// Leaf weighted-resemblance table (`refs.len()` square).
-    pub resem: Vec<Vec<f64>>,
-    /// Leaf directed-walk table (`refs.len()` square, asymmetric).
-    pub dwalk: Vec<Vec<f64>>,
-    /// References dirtied by updates since the tables were built.
-    pub dirty: FxHashSet<TupleRef>,
-    /// [`Distinct`] weights epoch the tables were built under.
-    pub weights_epoch: u64,
-}
-
-/// Per-name incremental state, keyed by reference name.
-pub(crate) type NameCache = FxHashMap<String, NameEntry>;
 
 /// Whether an identical tuple already exists (keyed relations compare the
 /// key's current row; keyless ones probe by first attribute, indexed or
@@ -408,9 +383,8 @@ impl Distinct {
     /// batch is a no-op. Within one batch, referenced tuples must precede
     /// referencing ones (the natural order of an insertion log); pseudo
     /// value tuples for expanded attributes are inserted automatically.
-    /// Dirty references have their cached profiles evicted and their
-    /// names' cached tables marked; nothing is recomputed until the next
-    /// [`crate::ResolveRequest::incremental`] resolve asks for it.
+    /// Dirty references have their cached profiles evicted; nothing is
+    /// recomputed until a later resolve asks for it.
     pub fn apply_updates(
         &mut self,
         updates: &[UpdateTuple],
@@ -559,148 +533,16 @@ impl Distinct {
         let evict: Vec<TupleRef> = dirty.iter().copied().collect();
         self.profile_cache.evict(&evict);
 
-        // Count affected names and mark cached per-name state.
-        let cache = self.names.get_mut();
-        let mut names: BTreeSet<&str> = BTreeSet::new();
-        for &r in dirty.iter().chain(new_refs.iter()) {
-            if let Some(name) = self.catalog.value(r, self.ref_attr_idx).as_str() {
-                names.insert(name);
-                if let Some(entry) = cache.get_mut(name) {
-                    entry.dirty.insert(r);
-                }
-            }
-        }
+        // The affected names: every dirty or new reference's value.
+        let names: BTreeSet<&str> = dirty
+            .iter()
+            .chain(new_refs.iter())
+            .filter_map(|&r| self.catalog.value(r, self.ref_attr_idx).as_str())
+            .collect();
         report.names = names.into_iter().map(str::to_string).collect();
         report.names_affected = report.names.len();
         Ok(report)
     }
-
-    /// The name whose cached tables an incremental request over `refs`
-    /// may use and refill: `refs` must be exactly that name's current
-    /// reference list, in tuple order.
-    pub(crate) fn cached_name(&self, refs: &[TupleRef]) -> Option<String> {
-        let first = *refs.first()?;
-        if first.rel != self.paths.start {
-            return None;
-        }
-        let name = self.catalog.value(first, self.ref_attr_idx).as_str()?;
-        (self.references_of(name) == refs).then(|| name.to_string())
-    }
-
-    /// Take `name`'s entry out of the name cache, and keep it only if it
-    /// can be patched up to `refs`: built under the current weights, over
-    /// a prefix of `refs` (updates only append references). A
-    /// self-contained lock scope: the patch runs on the removed entry with
-    /// the cache unlocked, so the exec pool's channels never block under
-    /// `self.names`, and a patch that trips leaves the name cold instead
-    /// of half-updated.
-    pub(crate) fn take_name_entry(&self, name: &str, refs: &[TupleRef]) -> Option<NameEntry> {
-        let entry = self.names.lock().remove(name);
-        // Dynamic pin of the rule lint D106 proves statically: the cache
-        // guard must be fully released before the stages fan out on the
-        // pool's channels.
-        debug_assert!(
-            !self.names.is_locked(),
-            "NameCache guard must not be held across the exec pool boundary (lint D106)"
-        );
-        entry.filter(|e| {
-            e.weights_epoch == self.weights_epoch
-                && e.refs.len() <= refs.len()
-                && e.refs[..] == refs[..e.refs.len()]
-        })
-    }
-
-    /// Put `name`'s fresh leaf tables back into the name cache, clean.
-    pub(crate) fn put_name_entry(&self, name: String, refs: &[TupleRef], tables: DistinctMerger) {
-        let (resem, dwalk) = tables.into_leaves();
-        let entry = NameEntry {
-            refs: refs.to_vec(),
-            resem,
-            dwalk,
-            dirty: FxHashSet::default(),
-            weights_epoch: self.weights_epoch,
-        };
-        self.names.lock().insert(name, entry);
-    }
-
-    /// Stage 2 of a resolve from a warm entry: the entry's leaf tables,
-    /// grown in place to `refs`, with every pair that touches a dirty or
-    /// new reference re-scored through the exact kernel (bit-identical to
-    /// the lossless pruned kernel a built source runs) and every other
-    /// pair kept as cached. Returns `None` (with the stats recording how
-    /// far it got) when `guard` trips mid-patch, like the built source.
-    pub(crate) fn patch_tables(
-        &self,
-        entry: NameEntry,
-        refs: &[TupleRef],
-        profiles: &[Arc<Profile>],
-        guard: &(dyn Fn(u64) -> bool + Sync),
-    ) -> (Option<DistinctMerger>, exec::ParStats, PairCounters) {
-        // distinct-lint: allow(D004, reason="wall time feeds ExecReport stage timings only; control flow stays with RunControl")
-        let clock = Instant::now();
-        let n = refs.len();
-        let n_paths = self.paths.len() as u64;
-        let NameEntry {
-            refs: cached,
-            mut resem,
-            mut dwalk,
-            dirty,
-            ..
-        } = entry;
-        let k = cached.len();
-        let flags: Vec<bool> = (0..n).map(|i| i >= k || dirty.contains(&refs[i])).collect();
-        // New references get zero rows and columns; every pair they touch
-        // is re-scored below, like every pair a dirty reference touches.
-        grow_square(&mut resem, n);
-        grow_square(&mut dwalk, n);
-        let mut stats = exec::ParStats {
-            threads: 1,
-            ..Default::default()
-        };
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if !(flags[i] || flags[j]) {
-                    continue;
-                }
-                if !guard(n_paths) {
-                    stats.stopped = true;
-                    stats.wall = clock.elapsed();
-                    return (None, stats, PairCounters::default());
-                }
-                stats.tasks += 1;
-                let (pi, pj) = (&profiles[i], &profiles[j]);
-                let r = weighted_sum(&resemblance_features(pi, pj), &self.weights.resem);
-                resem[i][j] = r;
-                resem[j][i] = r;
-                dwalk[i][j] = weighted_sum(&directed_walk_features(pi, pj), &self.weights.walk);
-                dwalk[j][i] = weighted_sum(&directed_walk_features(pj, pi), &self.weights.walk);
-            }
-        }
-        stats.completed = stats.tasks;
-        stats.wall = clock.elapsed();
-        let total = exec::triangle_count(n) as u64 * n_paths;
-        let exact = stats.tasks as u64 * n_paths;
-        let counters = PairCounters {
-            total,
-            pruned: 0,
-            exact,
-            cached: total - exact,
-            interned: 0,
-        };
-        let merger =
-            DistinctMerger::from_tables(resem, dwalk, self.config.measure, self.config.composite);
-        (merger, stats, counters)
-    }
-}
-
-/// Grow a square table to `n × n` with zero entries. Out-of-line from the
-/// charge-guarded patch loop: the new rows are allocated once per new
-/// reference, not per pair (lint D110).
-fn grow_square(table: &mut Vec<Vec<f64>>, n: usize) {
-    for row in table.iter_mut() {
-        row.resize(n, 0.0);
-    }
-    table.resize_with(n, || vec![0.0; n]);
 }
 
 #[cfg(test)]
@@ -724,14 +566,10 @@ mod tests {
         assert_eq!(bits(a), bits(b));
     }
 
-    /// Kernel units balance: every scheduled unit was pruned, evaluated or
-    /// served from the pair cache.
+    /// Kernel units balance: every scheduled unit was pruned or evaluated.
     fn assert_balanced(o: &ResolveOutcome) {
         let e = &o.exec;
-        assert_eq!(
-            e.pairs_pruned + e.pairs_exact + e.pairs_cached,
-            e.pairs_total
-        );
+        assert_eq!(e.pairs_pruned + e.pairs_exact, e.pairs_total);
     }
 
     fn dataset() -> datagen::DblpDataset {
@@ -835,229 +673,159 @@ mod tests {
         );
     }
 
-    #[test]
-    fn incremental_resolve_after_update_matches_cold_batch() {
-        let d = dataset();
-        let mut e = engine(&d);
-        let paper_key = 100_002i64;
-        let updates = vec![
-            publication_update(&d, paper_key, "Streaming Equals Batch"),
+    /// One new "Wei Wang" paper: the batch and its affected reference.
+    fn one_paper(d: &datagen::DblpDataset, paper_key: i64, title: &str) -> Vec<UpdateTuple> {
+        vec![
+            publication_update(d, paper_key, title),
             UpdateTuple::new(
                 "Publish",
                 vec![Value::str("Wei Wang"), Value::from(paper_key)],
             ),
-        ];
+        ]
+    }
 
-        // Warm the incremental cache, apply the update, resolve again.
+    /// An engine that resolved "Wei Wang" and then applied `updates`,
+    /// and a second engine that saw the grown catalog from the start,
+    /// never having resolved anything: the answer the first must give.
+    fn updated_and_fresh(
+        d: &datagen::DblpDataset,
+        updates: &[UpdateTuple],
+    ) -> (Distinct, Distinct) {
+        let mut warm = engine(d);
+        let refs = warm.references_of("Wei Wang");
+        assert!(warm.resolve(&ResolveRequest::new(&refs)).is_complete());
+        warm.apply_updates(updates).unwrap();
+        let mut fresh = engine(d);
+        fresh.apply_updates(updates).unwrap();
+        (warm, fresh)
+    }
+
+    #[test]
+    fn one_paper_update_recomputes_only_evicted_and_added_profiles() {
+        let d = dataset();
+        let updates = one_paper(&d, 100_002, "Streaming Equals Batch");
+        let mut e = engine(&d);
         let refs0 = e.references_of("Wei Wang");
-        let cold = e.resolve(&ResolveRequest::incremental(&refs0));
+        let cold = e.resolve(&ResolveRequest::new(&refs0));
         assert!(cold.is_complete());
-        assert_eq!(cold.exec.pairs_dirty, 0);
-        e.apply_updates(&updates).unwrap();
+        assert_eq!(cold.exec.profiles.tasks, refs0.len());
+        let report = e.apply_updates(&updates).unwrap();
+        assert_eq!(report.refs_added, 1);
         let refs1 = e.references_of("Wei Wang");
         assert_eq!(refs1.len(), refs0.len() + 1);
-        let warm = e.resolve(&ResolveRequest::incremental(&refs1));
-        assert!(warm.is_complete());
-        assert!(warm.exec.pairs_dirty > 0);
+
+        // Only the evicted and added profiles are computed: not the
+        // name's whole list.
+        let after = e.resolve(&ResolveRequest::new(&refs1));
+        assert!(after.is_complete());
+        let computed = after.exec.profiles.tasks;
         assert!(
-            warm.exec.pairs_dirty < warm.exec.pairs_total,
-            "dirty {} of {}",
-            warm.exec.pairs_dirty,
-            warm.exec.pairs_total
+            computed >= report.refs_added
+                && computed <= report.refs_dirtied + report.refs_added
+                && computed < refs1.len(),
+            "computed {computed} of {} profiles for {} added and {} dirtied references",
+            refs1.len(),
+            report.refs_added,
+            report.refs_dirtied
         );
-        assert_eq!(warm.exec.arena_rows_interned, 0);
-        assert_eq!(warm.exec.pairs_dirty, warm.exec.pairs_exact);
-        assert_eq!(warm.exec.names_affected, 1);
-        assert_balanced(&warm);
+        assert_balanced(&after);
+
+        // A repeat resolve, also after another name's, computes none.
+        let other = e.references_of("Hui Fang");
+        assert!(e.resolve(&ResolveRequest::new(&other)).is_complete());
+        let again = e.resolve(&ResolveRequest::new(&refs1));
+        assert_eq!(again.exec.profiles.tasks, 0);
+        assert_same_answer(&again, &after);
 
         // A second engine that saw the union from the start: the batch
-        // answer the incremental path must reproduce, merges included.
+        // answer the updated engine must reproduce, merges included.
         let mut union = engine(&d);
         union.apply_updates(&updates).unwrap();
-        let refs_union = union.references_of("Wei Wang");
-        assert_eq!(refs_union, refs1);
-        let batch = union.resolve(&ResolveRequest::new(&refs_union));
-        assert_same_answer(&warm, &batch);
+        assert_eq!(union.references_of("Wei Wang"), refs1);
+        assert_same_answer(&after, &union.resolve(&ResolveRequest::new(&refs1)));
     }
 
     #[test]
-    fn warm_second_resolve_does_zero_re_interning() {
+    fn constrained_and_zero_threshold_requests_after_an_update_match_a_fresh_engine() {
         let d = dataset();
-        let e = engine(&d);
+        let updates = one_paper(&d, 100_004, "Constraints After An Update");
+        let (e, fresh) = updated_and_fresh(&d, &updates);
         let refs = e.references_of("Wei Wang");
-        let cold = e.resolve(&ResolveRequest::incremental(&refs));
-        assert!(cold.exec.arena_rows_interned > 0, "cold build interns rows");
-        let warm = e.resolve(&ResolveRequest::incremental(&refs));
-        assert_eq!(warm.exec.arena_rows_interned, 0);
-        assert_eq!(warm.exec.pairs_cached, warm.exec.pairs_total);
-        assert_eq!(warm.exec.pairs_exact, 0);
-        assert_eq!(warm.clustering.labels, cold.clustering.labels);
-        // And the cached tables survive across other names' resolves.
-        let other = e.references_of("Hui Fang");
-        let _ = e.resolve(&ResolveRequest::incremental(&other));
-        let again = e.resolve(&ResolveRequest::incremental(&refs));
-        assert_eq!(again.exec.arena_rows_interned, 0);
-        assert_eq!(again.clustering.labels, cold.clustering.labels);
-    }
 
-    #[test]
-    fn incremental_request_matches_batch_resolve_bitwise_on_labels() {
-        let d = dataset();
-        let e = engine(&d);
-        for truth in &d.truths {
-            let batch = e.resolve(&ResolveRequest::new(&truth.refs));
-            let inc = e.resolve(&ResolveRequest::incremental(&truth.refs));
-            assert_same_answer(&inc, &batch);
-        }
-    }
-
-    #[test]
-    fn constrained_and_zero_threshold_requests_use_the_cache() {
-        let d = dataset();
-        let e = engine(&d);
-        let refs = e.references_of("Wei Wang");
-        let cold = e.resolve(&ResolveRequest::incremental(&refs));
-        assert_eq!(cold.exec.pairs_cached, 0);
-
-        // Constraints and the threshold shape the clustering, not the leaf
-        // tables: a warm name serves both from the cache.
+        // Constraints and the threshold shape the clustering, not the
+        // tables; a subset of a name's references is a request of its own.
         let cannot = [(0, 1)];
-        let constrained = e.resolve(&ResolveRequest::incremental(&refs).cannot_link(&cannot));
-        assert_eq!(constrained.exec.pairs_cached, constrained.exec.pairs_total);
+        let subset = &refs[..refs.len() - 1];
+        let requests = [
+            ResolveRequest::new(&refs).cannot_link(&cannot),
+            ResolveRequest::new(&refs).min_sim(0.0),
+            ResolveRequest::new(subset),
+        ];
+        for req in &requests {
+            let got = e.resolve(req);
+            assert!(got.is_complete());
+            assert_balanced(&got);
+            assert_same_answer(&got, &fresh.resolve(req));
+        }
+        let constrained = e.resolve(&requests[0]);
         assert_ne!(
             constrained.clustering.labels[0],
             constrained.clustering.labels[1]
         );
-        let batch = e.resolve(&ResolveRequest::new(&refs).cannot_link(&cannot));
-        assert_same_answer(&constrained, &batch);
-
-        let zero = e.resolve(&ResolveRequest::incremental(&refs).min_sim(0.0));
-        assert_eq!(zero.exec.pairs_cached, zero.exec.pairs_total);
-        let batch = e.resolve(&ResolveRequest::new(&refs).min_sim(0.0));
-        assert_same_answer(&zero, &batch);
-
-        // A subset of a name's references is no name's cache key: it
-        // builds, leaves the name's entry alone, and still equals batch.
-        let subset = &refs[..refs.len() - 1];
-        let built = e.resolve(&ResolveRequest::incremental(subset));
-        assert_eq!(built.exec.pairs_cached, 0);
-        assert_balanced(&built);
-        assert_same_answer(&built, &e.resolve(&ResolveRequest::new(subset)));
-        let again = e.resolve(&ResolveRequest::incremental(&refs));
-        assert_eq!(again.exec.pairs_cached, again.exec.pairs_total);
     }
 
     #[test]
-    fn limited_incremental_requests_degrade_in_place() {
+    fn limited_requests_after_an_update_degrade_in_place() {
         let d = dataset();
-        let paper_key = 100_003i64;
-        let updates = vec![
-            publication_update(&d, paper_key, "Limits After An Update"),
-            UpdateTuple::new(
-                "Publish",
-                vec![Value::str("Wei Wang"), Value::from(paper_key)],
-            ),
-        ];
-        // A warm "Wei Wang" after a one-paper update.
-        let warm_after_update = || {
-            let mut e = engine(&d);
-            let refs = e.references_of("Wei Wang");
-            assert!(e.resolve(&ResolveRequest::incremental(&refs)).is_complete());
-            e.apply_updates(&updates).unwrap();
-            e
-        };
+        let updates = one_paper(&d, 100_003, "Limits After An Update");
 
-        // What the profile stage of the warm request costs, measured on
-        // an engine in the same state.
-        let probe = warm_after_update();
+        // What the profile stage of the request costs, measured on an
+        // engine in the same state.
+        let (probe, _) = updated_and_fresh(&d, &updates);
         let refs = probe.references_of("Wei Wang");
-        let unlimited = probe.resolve(&ResolveRequest::incremental(&refs));
-        assert!(unlimited.exec.pairs_dirty > 0);
+        let unlimited = probe.resolve(&ResolveRequest::new(&refs));
+        assert!(unlimited.exec.profiles.tasks > 0);
         let profile_cost = unlimited.exec.profiles.logical;
 
-        // Cancelled: the profile stage stops first, before the entry is
-        // taken, so it stays warm. A budget that covers the profiles and
-        // one dirty pair: the patch stops at the second and the name goes
-        // cold.
+        // Cancelled: the profile stage stops first. A budget that covers
+        // the profiles and little more: the similarity stage stops at its
+        // first arena build.
         let cancelled = RunControl::new();
         cancelled.token().cancel();
         let budget = RunControl::new().with_budget(profile_cost + probe.paths().len() as u64);
-        for (ctl, stage, stays_warm) in [
-            (&cancelled, Stage::Profiles, true),
-            (&budget, Stage::SimilarityMatrix, false),
+        for (ctl, stage) in [
+            (&cancelled, Stage::Profiles),
+            (&budget, Stage::SimilarityMatrix),
         ] {
-            let e = warm_after_update();
-            let limited = e.resolve(&ResolveRequest::incremental(&refs).control(ctl));
+            let (e, fresh) = updated_and_fresh(&d, &updates);
+            let limited = e.resolve(&ResolveRequest::new(&refs).control(ctl));
             assert_eq!(limited.clustering.labels.len(), refs.len());
             let degraded = limited.degraded.expect("a tripped limit degrades");
             assert_eq!(degraded.stage, stage);
 
             // The next unlimited request equals batch and balances.
-            let next = e.resolve(&ResolveRequest::incremental(&refs));
+            let next = e.resolve(&ResolveRequest::new(&refs));
             assert!(next.is_complete());
-            assert_eq!(next.exec.pairs_cached > 0, stays_warm, "{stage:?}");
             assert_balanced(&next);
-            assert_same_answer(&next, &e.resolve(&ResolveRequest::new(&refs)));
+            assert_same_answer(&next, &fresh.resolve(&ResolveRequest::new(&refs)));
         }
     }
 
+    /// Profiles do not depend on the weights, so a resolve under new
+    /// weights over a warm profile cache equals a fresh engine's.
     #[test]
-    fn weight_change_invalidates_cached_tables() {
+    fn weight_change_after_a_resolve_matches_a_fresh_engine() {
         let d = dataset();
         let mut e = engine(&d);
         let refs = e.references_of("Wei Wang");
-        let _ = e.resolve(&ResolveRequest::incremental(&refs));
-        let n = e.paths().len();
-        let mut w = crate::learn::PathWeights::uniform(n);
+        assert!(e.resolve(&ResolveRequest::new(&refs)).is_complete());
+        let mut w = crate::learn::PathWeights::uniform(e.paths().len());
         w.resem[0] += 0.5;
-        e.set_weights(w).unwrap();
-        // The stale entry must not be reused: the rebuild interns again.
-        let after = e.resolve(&ResolveRequest::incremental(&refs));
-        assert!(after.exec.arena_rows_interned > 0);
-        let batch = e.resolve(&ResolveRequest::new(&refs));
-        assert_eq!(after.clustering.labels, batch.clustering.labels);
-    }
-
-    /// Dynamic pin of the lock-scope rule lint D106 proves statically:
-    /// the name-cache guard is released before any exec pool boundary —
-    /// at the takeout helper (its guard dies inside the single
-    /// statement, and its `debug_assert!` fires under `cargo test` if the
-    /// scope ever widens again) and along the whole resolve.
-    #[test]
-    fn name_cache_guard_is_never_held_across_the_pool_boundary() {
-        let d = dataset();
-        let mut e = engine(&d);
-        let refs0 = e.references_of("Wei Wang");
-        assert!(e
-            .resolve(&ResolveRequest::incremental(&refs0))
-            .is_complete());
-
-        let entry = e.take_name_entry("Wei Wang", &refs0);
-        assert!(entry.is_some(), "warm resolve must have cached the name");
-        assert!(
-            !e.names.is_locked(),
-            "take_name_entry leaked its guard past the statement"
-        );
-
-        // Warm the cache again, update, and patch — the resolve crosses
-        // the profile/similarity/clustering fanouts with debug assertions
-        // on, so the boundary assert rides along.
-        assert!(e
-            .resolve(&ResolveRequest::incremental(&refs0))
-            .is_complete());
-        let paper_key = 100_077i64;
-        e.apply_updates(&[
-            publication_update(&d, paper_key, "Guard Scope Pin"),
-            UpdateTuple::new(
-                "Publish",
-                vec![Value::str("Wei Wang"), Value::from(paper_key)],
-            ),
-        ])
-        .unwrap();
-        let refs1 = e.references_of("Wei Wang");
-        let warm = e.resolve(&ResolveRequest::incremental(&refs1));
-        assert!(warm.is_complete());
-        assert!(!e.names.is_locked());
+        e.set_weights(w.clone()).unwrap();
+        let mut fresh = engine(&d);
+        fresh.set_weights(w).unwrap();
+        let req = ResolveRequest::new(&refs);
+        assert_same_answer(&e.resolve(&req), &fresh.resolve(&req));
     }
 
     #[test]
@@ -1121,7 +889,7 @@ mod tests {
         );
         let refs = e.references_of("Solo Author");
         assert_eq!(refs.len(), 1);
-        let outcome = e.resolve(&ResolveRequest::incremental(&refs));
+        let outcome = e.resolve(&ResolveRequest::new(&refs));
         assert!(outcome.is_complete());
         assert_eq!(outcome.clustering.cluster_count(), 1);
     }

@@ -298,9 +298,8 @@ impl LintId {
                  non-durable output (e.g. the lint baseline itself)."
             }
             LintId::D106 => {
-                "PR 8's hand-maintained rule, formalized: a `Mutex`/`RwLock` \
-                 guard (including the sharded ProfileCache and the NameCache \
-                 in crates/core) must never be live across an exec pool \
+                "A `Mutex`/`RwLock` guard (such as a shard of the \
+                 ProfileCache in crates/core) must never be live across an exec pool \
                  boundary — a `par_map_guarded`/`par_map_indexed`/`par_chunks` \
                  submit, a channel `send`/`recv`, or a call that transitively \
                  reaches one. The pool's workers rendezvous on channels; a \
@@ -313,11 +312,8 @@ impl LintId {
                  exit) and flags the first live statement that hits a pool \
                  boundary, naming the guard binding, the blocking call, and \
                  the call chain. Fix: make the lock scope self-contained \
-                 before the boundary (take the value out, as \
-                 `take_name_entry` does), or `drop(guard)` first. The dynamic \
-                 twin of this rule is the `name_cache_guard_is_never_held_\
-                 across_the_pool_boundary` regression test in \
-                 crates/core/src/update.rs."
+                 before the boundary (take the value out of the lock in one \
+                 statement), or `drop(guard)` first."
             }
             LintId::D107 => {
                 "The semantic refinement of D001 (which it retires under \

@@ -489,7 +489,7 @@ fn binary_reports_seeded_unbounded_growth() {
 fn facts_export_lists_the_production_cells() {
     let (code, text) = run_lint(&["facts", "--emit", "json"], &workspace_root());
     assert_eq!(code, Some(0), "facts export failed:\n{text}");
-    for marker in ["\"cells\"", "\"guards\"", "ProfileCache", "\"names\""] {
+    for marker in ["\"cells\"", "\"guards\"", "ProfileCache", "\"shards\""] {
         assert!(text.contains(marker), "missing {marker} in:\n{text}");
     }
     // D108 keeps the registry and the declarations in lockstep, so no

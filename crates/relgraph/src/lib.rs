@@ -11,10 +11,9 @@
 //!   connection-strength-weighted Jaccard of Definition 2;
 //! * [`walk_probability`] — random-walk probability between two references
 //!   along a path and its reverse (paper §2.4);
-//! * [`Resemblance`] — the similarity stage's kernel selector
-//!   ([`Resemblance::Exact`] vs lossless [`Resemblance::Pruned`]), the
-//!   latter backed by the columnar [`SetArena`]: streamed, deduplicated
-//!   rows and one exact support-overlap certificate over CSR postings.
+//! * [`SetArena`] — the similarity stage's lossless pruned kernel:
+//!   streamed, deduplicated columnar rows and one exact support-overlap
+//!   certificate over CSR postings.
 
 #![warn(missing_docs)]
 
@@ -26,6 +25,6 @@ pub mod walk;
 
 pub use arena::{ArenaPool, IntersectionMatrix, SetArena};
 pub use graph::{LinkGraph, NodeId};
-pub use neighbors::{Resemblance, WeightedSet};
+pub use neighbors::WeightedSet;
 pub use propagate::{propagate, propagate_blocked, propagate_blocked_guarded, Propagation};
 pub use walk::{directed_walk, walk_probability};

@@ -13,34 +13,6 @@
 use crate::graph::NodeId;
 use relstore::FxHashMap;
 
-/// The resemblance kernel selector for the similarity stage.
-///
-/// Both variants compute the *same function* — Definition 2, bit for bit.
-/// They differ only in how the similarity stage schedules the work:
-///
-/// * [`Resemblance::Exact`] evaluates the merge-join kernel for every
-///   pair directly (the canonical reference, one call away for
-///   differential tests);
-/// * [`Resemblance::Pruned`] interns each join path's sets into a
-///   columnar [`SetArena`](crate::SetArena), deduplicates
-///   content-identical rows, and skips every kernel whose rows share no
-///   member — one exact support-overlap certificate
-///   ([`SetArena::intersections`](crate::SetArena::intersections)) that
-///   proves the value *exactly zero*. Because only provably-zero
-///   evaluations are skipped, the produced values — and hence every
-///   downstream merge decision — are bit-identical to `Exact` at any
-///   threshold. That is the losslessness contract, and the oracle
-///   differential suite enforces it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Resemblance {
-    /// Evaluate the exact kernel for every pair.
-    Exact,
-    /// Skip provably-zero kernels via interned arenas (the default: the
-    /// fast path is the default path, and it is exact by construction).
-    #[default]
-    Pruned,
-}
-
 /// A weighted set of nodes (neighbor tuples with connection strengths).
 ///
 /// Stored as `(node, weight)` pairs sorted by node id with strictly
@@ -176,8 +148,8 @@ impl WeightedSet {
     /// assert!((a.resemblance(&b) - 0.25 / 1.75).abs() < 1e-12);
     /// ```
     ///
-    /// The exact kernel [`Resemblance::Exact`] runs per pair, and the
-    /// one the columnar arena must match bit for bit.
+    /// The per-pair kernel the columnar [`SetArena`](crate::SetArena)
+    /// must match bit for bit.
     // distinct-lint: allow(D005, reason="O(|A|+|B|) per-pair leaf; DistinctMerger charges the budget per pair")
     pub fn resemblance(&self, other: &WeightedSet) -> f64 {
         let (a, b) = (self, other);

@@ -1,9 +1,9 @@
 //! Incremental resolution: new tuples stream into a prepared engine and
-//! only the touched pairs are re-scored — dirty tracking, warm pair
-//! caches, and the durable update-stream path. The streaming partitions
-//! and merges are bit-identical to cold batch resolves over the same
-//! catalog. See DESIGN.md §16 and the convergence oracle in
-//! `tests/oracle_metamorphic.rs`.
+//! only the touched references' profiles are recomputed — dirty
+//! tracking, the warm profile cache, and the durable update-stream path.
+//! The streaming partitions and merges are bit-identical to cold batch
+//! resolves over the same catalog. See DESIGN.md §16 and the convergence
+//! oracle in `tests/oracle_metamorphic.rs`.
 //!
 //! Run: `cargo run --release --example incremental_updates`
 
@@ -29,17 +29,18 @@ fn main() {
     )
     .expect("prepare");
 
-    // Warm the name: an *incremental* request caches the pair tables.
+    // Warm the name: the first resolve caches every reference's profile.
     let refs = engine.references_of("Wei Wang");
-    let warm = engine.resolve(&ResolveRequest::incremental(&refs));
+    let warm = engine.resolve(&ResolveRequest::new(&refs));
     println!(
-        "warm resolve: {} references, {} pair-units scored",
+        "warm resolve: {} references, {} profiles computed",
         refs.len(),
-        warm.exec.pairs_total
+        warm.exec.profiles.tasks
     );
 
     // Stream the log one tuple at a time: each apply reports what it
-    // touched, each re-resolve pays only for the dirty pairs.
+    // touched and evicts those profiles, each re-resolve recomputes only
+    // them.
     for (relation, values) in &stream.log {
         let update = UpdateTuple::new(relation.clone(), values.clone());
         let report = engine
@@ -47,10 +48,12 @@ fn main() {
             .expect("apply");
         if report.names.iter().any(|n| n == "Wei Wang") {
             let refs = engine.references_of("Wei Wang");
-            let out = engine.resolve(&ResolveRequest::incremental(&refs));
+            let out = engine.resolve(&ResolveRequest::new(&refs));
             println!(
-                "  +{relation} row: {} refs dirtied, re-scored {} of {} pair-units",
-                report.refs_dirtied, out.exec.pairs_dirty, out.exec.pairs_total
+                "  +{relation} row: {} refs dirtied, {} of {} profiles recomputed",
+                report.refs_dirtied,
+                out.exec.profiles.tasks,
+                refs.len()
             );
         }
     }
@@ -58,7 +61,7 @@ fn main() {
     // Streaming converged: the final partition equals a cold batch
     // resolve over the grown catalog, on a fresh engine.
     let refs = engine.references_of("Wei Wang");
-    let streamed = engine.resolve(&ResolveRequest::incremental(&refs));
+    let streamed = engine.resolve(&ResolveRequest::new(&refs));
     let cold_engine = Distinct::prepare(
         engine.catalog(),
         "Publish",

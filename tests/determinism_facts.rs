@@ -26,23 +26,19 @@ fn registry() -> ConcurFacts {
     concur::collect_facts(&graph, &ctxs)
 }
 
-/// The two production caches the resolve spine leans on must be in the
-/// registry, reachable, and carrying the disciplines their concurrency
+/// The production profile cache the resolve spine leans on must be in
+/// the registry, reachable, and carrying the discipline its concurrency
 /// story depends on.
 #[test]
 fn production_caches_are_registered_with_their_disciplines() {
     let facts = registry();
     assert!(!facts.cells.is_empty(), "registry must not be empty");
 
-    let cell = |owner: &str, field: &str| {
-        facts
-            .cells
-            .iter()
-            .find(|c| c.owner == owner && c.field.as_deref() == Some(field))
-            .unwrap_or_else(|| panic!("{owner}.{field} missing from the registry"))
-    };
-
-    let shards = cell("ProfileCache", "shards");
+    let shards = facts
+        .cells
+        .iter()
+        .find(|c| c.owner == "ProfileCache" && c.field.as_deref() == Some("shards"))
+        .unwrap_or_else(|| panic!("ProfileCache.shards missing from the registry"));
     assert!(shards.reachable, "ProfileCache.shards must be on the spine");
     assert!(
         shards
@@ -53,19 +49,6 @@ fn production_caches_are_registered_with_their_disciplines() {
         "ProfileCache relies on racing builders inserting bit-identical \
          profiles; its declared discipline says otherwise: {:?}",
         shards.discipline
-    );
-
-    let names = cell("Distinct", "names");
-    assert!(names.reachable, "the name cache must be on the spine");
-    assert!(
-        names
-            .discipline
-            .as_deref()
-            .unwrap_or("")
-            .contains("exclusive takeout"),
-        "the name cache protocol (entry leaves the map before fanout, \
-         returns after the ordered commit) is not what is declared: {:?}",
-        names.discipline
     );
 }
 

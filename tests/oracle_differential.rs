@@ -19,9 +19,11 @@
 
 use datagen::{AmbiguousSpec, World, WorldConfig};
 use distinct::{
-    Distinct, DistinctConfig, Resemblance, ResolveRequest, TrainingConfig, WeightingMode,
+    directed_walk_features, resemblance_features, weighted_sum, Distinct, DistinctConfig,
+    PathWeights, Profile, ResolveRequest, StageProbe, TrainingConfig, WeightingMode,
 };
 use oracle::{Composite, Measure, OracleEngine};
+use std::sync::Arc;
 
 const TOLERANCE: f64 = 1e-9;
 const THREAD_COUNTS: [usize; 2] = [1, 4];
@@ -76,6 +78,46 @@ fn first_bit_mismatch(a: &[Vec<f64>], b: &[Vec<f64>]) -> Option<(usize, usize, f
         }
     }
     None
+}
+
+/// The leaf tables `(resemblance, symmetrized walk)` of `profiles`,
+/// scored pair by pair with the per-path kernels and [`weighted_sum`] —
+/// no arenas, no pruning — combined as the engine's merger combines them.
+fn per_pair_tables(profiles: &[Arc<Profile>], w: &PathWeights) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+    let n = profiles.len();
+    let mut resem = vec![vec![0.0; n]; n];
+    let mut walk = vec![vec![0.0; n]; n];
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let (pi, pj) = (&profiles[i], &profiles[j]);
+            let r = weighted_sum(&resemblance_features(pi, pj), &w.resem);
+            let dij = weighted_sum(&directed_walk_features(pi, pj), &w.walk);
+            let dji = weighted_sum(&directed_walk_features(pj, pi), &w.walk);
+            let wk = 0.5 * (dij + dji);
+            (resem[i][j], resem[j][i]) = (r, r);
+            (walk[i][j], walk[j][i]) = (wk, wk);
+        }
+    }
+    (resem, walk)
+}
+
+/// The losslessness contract at full precision: the pruned tables of
+/// `probe` carry the per-pair kernels' bits, not merely values within
+/// tolerance.
+fn check_lossless(probe: &StageProbe, w: &PathWeights) -> Result<(), String> {
+    let (resem, walk) = per_pair_tables(&probe.profiles, w);
+    for (stage, pruned, exact) in [
+        ("resemblance", &probe.resemblance, &resem),
+        ("walk", &probe.walk, &walk),
+    ] {
+        if let Some((i, j, p, e)) = first_bit_mismatch(pruned, exact) {
+            return Err(format!(
+                "pruned {stage}[{i}][{j}] = {p:e} is not bit-identical to the \
+                 per-pair kernel's {e:e}"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Run the full differential check on one world. `Err` carries a
@@ -136,10 +178,9 @@ fn check_world(config: &WorldConfig, supervised: bool) -> Result<(), String> {
             engine
                 .set_weights(weights.clone())
                 .map_err(|e| format!("set_weights failed: {e:?}"))?;
-            // Cold runs under the pruned default, so the oracle checks
-            // below also vet the pruning engine — and its accounting must
-            // balance: every scheduled kernel unit is either pruned under
-            // a zero certificate or evaluated exactly.
+            // The oracle checks below vet the pruning engine, and its
+            // accounting must balance: every scheduled kernel unit is
+            // either pruned under a zero certificate or evaluated exactly.
             let cold = engine.resolve(&ResolveRequest::new(refs).threads(threads));
             if cold.degraded.is_some() {
                 return Err(format!("unlimited run degraded for `{}`", truth.name));
@@ -160,27 +201,6 @@ fn check_world(config: &WorldConfig, supervised: bool) -> Result<(), String> {
                 ));
             }
 
-            // Kernel differential: the exact reference path must produce
-            // the same clustering and prune nothing.
-            let exact_req = ResolveRequest::new(refs)
-                .threads(threads)
-                .similarity(Resemblance::Exact);
-            let exact = engine.resolve(&exact_req);
-            if exact.clustering.labels != cold.clustering.labels
-                || exact.clustering.dendrogram.merges() != cold.clustering.dendrogram.merges()
-            {
-                return Err(format!(
-                    "`{}` pruned run differs from the exact kernel (threads={threads})",
-                    truth.name
-                ));
-            }
-            if exact.exec.pairs_pruned != 0 || exact.exec.pairs_exact != exact.exec.pairs_total {
-                return Err(format!(
-                    "`{}` exact kernel claims pruning (threads={threads}): {:?}",
-                    truth.name, exact.exec
-                ));
-            }
-
             // Stage probe (also warms the cache): per-stage 1e-9 agreement.
             let probe = engine.stage_probe(refs);
             for (stage, prod, oracle) in [
@@ -197,23 +217,8 @@ fn check_world(config: &WorldConfig, supervised: bool) -> Result<(), String> {
                 }
             }
 
-            // Losslessness at full precision: the pruned default's stage
-            // tables must be *bit-identical* to the exact kernel's, not
-            // merely within tolerance.
-            let exact_probe = engine.stage_probe_with(refs, &Resemblance::Exact);
-            for (stage, pruned, exact_t) in [
-                ("resemblance", &probe.resemblance, &exact_probe.resemblance),
-                ("walk", &probe.walk, &exact_probe.walk),
-                ("similarity", &probe.similarity, &exact_probe.similarity),
-            ] {
-                if let Some((i, j, p, e)) = first_bit_mismatch(pruned, exact_t) {
-                    return Err(format!(
-                        "`{}` pruned {stage}[{i}][{j}] = {p:e} is not bit-identical \
-                         to exact {e:e} (threads={threads})",
-                        truth.name
-                    ));
-                }
-            }
+            check_lossless(&probe, &weights)
+                .map_err(|e| format!("`{}` {e} (threads={threads})", truth.name))?;
 
             // Warm: resolve again off the populated cache — byte-identical.
             let warm = engine.resolve(&ResolveRequest::new(refs).threads(threads));

@@ -454,7 +454,7 @@ fn streaming_updates_converge_to_cold_batch() {
                 }
                 let refs = streamed.references_of("Wei Wang");
                 assert_eq!(refs.len(), 11, "world {world_seed}: planted 6+5 refs");
-                let inc = streamed.resolve(&ResolveRequest::incremental(&refs).threads(threads));
+                let inc = streamed.resolve(&ResolveRequest::new(&refs).threads(threads));
 
                 // Within an order the streamed catalog *is* the union
                 // catalog, so the cold batch comparison is exact. Checked
@@ -512,7 +512,7 @@ fn re_streaming_an_absorbed_log_is_idempotent() {
     let first = e.apply_updates(&updates).unwrap();
     assert_eq!(first.applied, updates.len());
     let refs = e.references_of("Wei Wang");
-    let before = e.resolve(&ResolveRequest::incremental(&refs));
+    let before = e.resolve(&ResolveRequest::new(&refs));
 
     let again = e.apply_updates(&updates).unwrap();
     assert_eq!(again.applied, 0, "absorbed tuples must be skipped");
@@ -521,7 +521,7 @@ fn re_streaming_an_absorbed_log_is_idempotent() {
     assert_eq!(again.refs_dirtied, 0, "a no-op update dirties nothing");
     assert!(again.names.is_empty());
 
-    let after = e.resolve(&ResolveRequest::incremental(&refs));
+    let after = e.resolve(&ResolveRequest::new(&refs));
     assert_eq!(before.clustering.labels, after.clustering.labels);
     assert_eq!(
         before.clustering.dendrogram.merges(),
@@ -552,7 +552,7 @@ fn stream_chunking_is_unobservable() {
             cursor += take;
         }
         let refs = e.references_of("Wei Wang");
-        let out = e.resolve(&ResolveRequest::incremental(&refs));
+        let out = e.resolve(&ResolveRequest::new(&refs));
         results.push((
             applied,
             out.clustering.labels.clone(),

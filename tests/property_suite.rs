@@ -328,7 +328,7 @@ fn streamed_equals_union_batch(
                 truth.name
             ));
         }
-        let inc = streamed.resolve(&ResolveRequest::incremental(&refs));
+        let inc = streamed.resolve(&ResolveRequest::new(&refs));
         let cold = batch.resolve(&ResolveRequest::new(&refs));
         if inc.clustering.labels != cold.clustering.labels {
             return Err(format!(
