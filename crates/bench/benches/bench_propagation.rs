@@ -30,7 +30,7 @@ fn bench_propagation(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("single_path", label), path, |b, path| {
             b.iter(|| {
                 let prop = propagate(&graph, &ex.catalog, path, black_box(refs[0]));
-                black_box(prop.neighbor_count())
+                black_box(prop.neighbor_total())
             })
         });
     }
@@ -38,7 +38,7 @@ fn bench_propagation(c: &mut Criterion) {
         b.iter(|| {
             let mut total = 0usize;
             for path in &paths {
-                total += propagate(&graph, &ex.catalog, path, black_box(refs[1])).neighbor_count();
+                total += propagate(&graph, &ex.catalog, path, black_box(refs[1])).neighbor_total();
             }
             black_box(total)
         })

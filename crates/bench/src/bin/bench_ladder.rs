@@ -183,7 +183,7 @@ fn run_rung(r: &Rung) -> Result<(), BenchError> {
          \"references\": {references},\n    \"name_references\": {}\n  }},\n  \
          \"threads\": {},\n  \"generate_ms\": {generate_ms},\n  \"prepare_ms\": {prepare_ms},\n  \
          \"wall_ms\": {cold_ms},\n  \"logical\": {},\n  \"peak_rss_bytes\": {},\n  \
-         \"pairs_total\": {},\n  \"pairs_pruned\": {},\n  \"pairs_exact\": {},\n  \"pairs_cached\": {},\n  \
+         \"pairs_total\": {},\n  \"pairs_pruned\": {},\n  \"pairs_exact\": {},\n  \
          \"stages\": {{\n    \"profiles_ms\": {:.3},\n    \"similarity_ms\": {:.3},\n    \"clustering_ms\": {:.3}\n  }},\n  \
          \"alloc\": {{\n    \"metered\": {},\n    \
          \"generate\": {{ \"allocs\": {}, \"bytes_alloc\": {} }},\n    \
@@ -201,7 +201,6 @@ fn run_rung(r: &Rung) -> Result<(), BenchError> {
         exec.pairs_total,
         exec.pairs_pruned,
         exec.pairs_exact,
-        exec.pairs_cached,
         ms_frac(exec.profiles.wall),
         ms_frac(exec.similarity.wall),
         ms_frac(exec.clustering.wall),

@@ -149,8 +149,7 @@ mod tests {
             r,
             Arc::new(Profile {
                 reference: r,
-                props: Vec::new(),
-                sets: Vec::new(),
+                columns: relgraph::Propagation::new(),
                 placeholder,
             }),
         )

@@ -20,22 +20,24 @@
 //! reinterpreted under this build's schema, and never conflated with
 //! corruption (the bytes are intact, just foreign).
 //!
-//! Writes go to a `*.tmp` sibling first and are renamed into place, via
-//! the same [`Vfs`](relstore::Vfs) abstraction the store uses — so the
-//! fault-injection harness can kill a checkpoint save mid-write and prove
-//! the previous checkpoint survives. Loads verify the checksum before
-//! parsing a byte: a torn or bit-flipped checkpoint surfaces as
-//! [`DistinctError::CorruptCheckpoint`], never as a silently wrong model.
+//! Writes go through [`relstore::write_atomic`] — a `*.tmp` sibling
+//! renamed into place, via the same [`Vfs`](relstore::Vfs) abstraction the
+//! store uses — so the fault-injection harness can kill a checkpoint save
+//! mid-write and prove the previous checkpoint survives. Loads verify the
+//! checksum before parsing a byte: a torn or bit-flipped checkpoint
+//! surfaces as [`DistinctError::CorruptCheckpoint`], never as a silently
+//! wrong model.
 //!
 //! A checkpoint is only valid against the catalog it was built from: the
 //! profile cache stores graph node ids. Loading validates the join-path
-//! descriptions and the catalog's tuple count and refuses on mismatch.
+//! descriptions and the catalog's tuple count, and every profile entry
+//! against the engine (`decode_profile`), and refuses on mismatch.
 
 use crate::features::Profile;
 use crate::learn::{LearnedModel, PathWeights};
 use crate::pipeline::{Distinct, DistinctError};
-use relgraph::{Propagation, WeightedSet};
-use relstore::{fnv1a64, FxHashMap, StdVfs, TupleRef, Vfs};
+use relgraph::{NodeId, Propagation};
+use relstore::{fnv1a64, StdVfs, TupleRef, Vfs};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::sync::Arc;
@@ -66,54 +68,98 @@ pub(crate) struct ProfileEntry {
     props: Vec<PropEntry>,
 }
 
-/// Encode one profile for persistence. Deterministic: the hash-ordered
-/// propagation maps are emitted as sorted pair lists, so identical
-/// profiles always serialize to identical bytes.
+/// Encode one profile for persistence: each path's columns as sorted
+/// `(node, mass)` lists, so identical profiles always serialize to
+/// identical bytes.
 pub(crate) fn encode_profile(p: &Profile) -> ProfileEntry {
+    let pairs = |nodes: &[NodeId], masses: &[f64]| {
+        nodes
+            .iter()
+            .map(|n| n.0)
+            .zip(masses.iter().copied())
+            .collect()
+    };
     ProfileEntry {
         rel: p.reference.rel.0,
         tid: p.reference.tid.0,
-        props: p
-            .props
-            .iter()
-            .map(|prop| PropEntry {
-                forward: sorted_pairs(&prop.forward),
-                backward: sorted_pairs(&prop.backward),
+        props: (0..p.path_count())
+            .map(|k| {
+                let run = p.path(k);
+                PropEntry {
+                    forward: pairs(run.nodes, run.forward),
+                    backward: pairs(run.nodes, run.backward),
+                }
             })
             .collect(),
     }
 }
 
-/// Decode one persisted profile. `None` when the per-path propagation
-/// count disagrees with the engine's path set (a checkpoint from a
-/// different schema).
-pub(crate) fn decode_profile(entry: &ProfileEntry, n_paths: usize) -> Option<Profile> {
-    if entry.props.len() != n_paths {
-        return None;
+/// Decode one persisted profile for `engine`, refusing (with the reason)
+/// any entry no propagation over the engine's catalog produces: a path
+/// count other than the engine's, a reference that is not an in-range
+/// tuple of the reference relation, or a path whose lists break
+/// `check_run`.
+pub(crate) fn decode_profile(entry: &ProfileEntry, engine: &Distinct) -> Result<Profile, String> {
+    let paths = engine.paths();
+    if entry.props.len() != paths.len() {
+        return Err(format!(
+            "profile has {} per-path propagations, engine has {} paths",
+            entry.props.len(),
+            paths.len()
+        ));
     }
     let reference = TupleRef::new(relstore::RelId(entry.rel), relstore::TupleId(entry.tid));
-    let mut props = Vec::with_capacity(n_paths);
-    let mut sets = Vec::with_capacity(n_paths);
-    for p in &entry.props {
-        let to_map = |pairs: &[(u32, f64)]| {
-            pairs
-                .iter()
-                .map(|&(n, w)| (relgraph::NodeId(n), w))
-                .collect::<FxHashMap<relgraph::NodeId, f64>>()
-        };
-        let prop = Propagation {
-            forward: to_map(&p.forward),
-            backward: to_map(&p.backward),
-        };
-        sets.push(WeightedSet::from_map(prop.forward.clone()));
-        props.push(prop);
+    if reference.rel != paths.start
+        || reference.tid.index() >= engine.catalog().relation(paths.start).len()
+    {
+        return Err(format!(
+            "profile reference ({}, {}) is not a tuple of the reference relation",
+            entry.rel, entry.tid
+        ));
     }
-    Some(Profile {
+    let mut columns = Propagation::new();
+    for (k, p) in entry.props.iter().enumerate() {
+        check_run(&p.forward, &p.backward, engine.graph().node_count())
+            .map_err(|why| format!("profile ({}, {}) path {k}: {why}", entry.rel, entry.tid))?;
+        columns.push_path(
+            p.forward
+                .iter()
+                .zip(&p.backward)
+                .map(|(&(n, f), &(_, b))| (NodeId(n), f, b)),
+        );
+    }
+    Ok(Profile {
         reference,
-        props,
-        sets,
+        columns,
         placeholder: false,
     })
+}
+
+/// What one path's persisted lists must satisfy to be a propagation's
+/// run: the same nodes in both lists, strictly ascending and below the
+/// graph's `nodes`, with finite, positive masses.
+fn check_run(forward: &[(u32, f64)], backward: &[(u32, f64)], nodes: usize) -> Result<(), String> {
+    if forward.len() != backward.len() || forward.iter().zip(backward).any(|(f, b)| f.0 != b.0) {
+        return Err("forward and backward lists name different nodes".into());
+    }
+    let ids = forward.iter().map(|&(n, _)| n);
+    if let Some((a, b)) = ids.clone().zip(ids.skip(1)).find(|(a, b)| a >= b) {
+        return Err(format!(
+            "node ids are not strictly ascending ({a} then {b})"
+        ));
+    }
+    if let Some(&(n, _)) = forward.iter().find(|&&(n, _)| n as usize >= nodes) {
+        return Err(format!("node {n} is not below the graph's {nodes} nodes"));
+    }
+    if let Some(m) = forward
+        .iter()
+        .chain(backward)
+        .map(|&(_, m)| m)
+        .find(|m| !(m.is_finite() && *m > 0.0))
+    {
+        return Err(format!("mass {m} is not finite and positive"));
+    }
+    Ok(())
 }
 
 #[derive(Debug, Serialize, Deserialize)]
@@ -214,12 +260,6 @@ impl Framing {
     }
 }
 
-fn sorted_pairs(map: &FxHashMap<relgraph::NodeId, f64>) -> Vec<(u32, f64)> {
-    let mut v: Vec<(u32, f64)> = map.iter().map(|(n, &w)| (n.0, w)).collect();
-    v.sort_unstable_by_key(|&(n, _)| n);
-    v
-}
-
 impl Distinct {
     /// Serialize the engine's trained state to `path` through an explicit
     /// [`Vfs`] — the fault-injectable entry point.
@@ -250,20 +290,15 @@ impl Distinct {
                 reason: e.to_string(),
             })
         })?;
-        let blob = CHECKPOINT_FRAMING.frame(&json);
-        let tmp = path.with_extension("tmp");
-        vfs.write(&tmp, blob.as_bytes()).map_err(|e| {
+        let name = path.file_name().and_then(|n| n.to_str()).ok_or_else(|| {
             DistinctError::Store(relstore::StoreError::Io {
-                context: "write checkpoint".into(),
-                reason: e.to_string(),
+                context: "save checkpoint".into(),
+                reason: format!("`{}` does not name a file", path.display()),
             })
         })?;
-        vfs.rename(&tmp, path).map_err(|e| {
-            DistinctError::Store(relstore::StoreError::Io {
-                context: "commit checkpoint".into(),
-                reason: e.to_string(),
-            })
-        })
+        let dir = path.parent().unwrap_or(Path::new(""));
+        let blob = CHECKPOINT_FRAMING.frame(&json);
+        Ok(relstore::write_atomic(vfs, dir, name, blob.as_bytes())?)
     }
 
     /// Serialize the engine's trained state (weights, learned model,
@@ -305,19 +340,10 @@ impl Distinct {
                 ),
             ));
         }
-        let n_paths = self.paths().len();
         let mut restored: Vec<(TupleRef, Arc<Profile>)> =
             Vec::with_capacity(payload.profiles.len());
         for entry in &payload.profiles {
-            let profile = decode_profile(entry, n_paths).ok_or_else(|| {
-                corrupt(
-                    path,
-                    format!(
-                        "profile has {} per-path propagations, engine has {n_paths} paths",
-                        entry.props.len()
-                    ),
-                )
-            })?;
+            let profile = decode_profile(entry, self).map_err(|why| corrupt(path, why))?;
             restored.push((profile.reference, Arc::new(profile)));
         }
         crate::config::check_min_sim(payload.min_sim).map_err(|e| corrupt(path, e))?;
@@ -549,11 +575,23 @@ mod tests {
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
+    /// The first persisted path run with at least two nodes.
+    fn long_run(p: &mut CheckpointPayload) -> &mut PropEntry {
+        p.profiles
+            .iter_mut()
+            .flat_map(|e| e.props.iter_mut())
+            .find(|r| r.forward.len() >= 2)
+            .expect("a profile reaches two nodes along some path")
+    }
+
     #[test]
     fn a_refused_load_leaves_threshold_and_weights_unchanged() {
         let d = dataset();
         let mut saved = engine(&d);
         saved.set_min_sim(0.25);
+        // Cached profiles, so the payload carries entries to tamper with.
+        let refs = saved.references_of("Wei Wang");
+        let _ = saved.resolve(&crate::request::ResolveRequest::new(&refs));
         let path = temp_file("invalid");
         saved.save_checkpoint(&path).unwrap();
         let blob = std::fs::read_to_string(&path).unwrap();
@@ -562,13 +600,43 @@ mod tests {
         // Checksummed payloads whose values no engine may install.
         let n = saved.paths().len();
         type Tamper = fn(&mut CheckpointPayload);
-        let tampered: [(&str, Tamper); 4] = [
+        let tampered: [(&str, Tamper); 14] = [
             ("negative weight", |p| p.weights.resem[0] = -1.0),
             ("NaN weight", |p| p.weights.walk[0] = f64::NAN),
             ("short weights", |p| {
                 p.weights.walk.pop();
             }),
             ("NaN threshold", |p| p.min_sim = f64::NAN),
+            ("reference past the relation's end", |p| {
+                p.profiles[0].tid = u32::MAX
+            }),
+            ("reference in another relation", |p| p.profiles[0].rel += 1),
+            ("nodes out of order", |p| {
+                let run = long_run(p);
+                run.forward.swap(0, 1);
+                run.backward.swap(0, 1);
+            }),
+            ("duplicate node", |p| {
+                let run = long_run(p);
+                run.forward[1].0 = run.forward[0].0;
+                run.backward[1].0 = run.backward[0].0;
+            }),
+            ("node past the graph", |p| {
+                let run = long_run(p);
+                run.forward.last_mut().unwrap().0 = u32::MAX;
+                run.backward.last_mut().unwrap().0 = u32::MAX;
+            }),
+            ("backward names other nodes", |p| {
+                long_run(p).backward.pop();
+            }),
+            ("NaN forward mass", |p| long_run(p).forward[0].1 = f64::NAN),
+            ("infinite backward mass", |p| {
+                long_run(p).backward[1].1 = f64::INFINITY
+            }),
+            ("zero forward mass", |p| long_run(p).forward[1].1 = 0.0),
+            ("negative backward mass", |p| {
+                long_run(p).backward[0].1 = -0.5
+            }),
         ];
         for (what, tamper) in tampered {
             let mut payload: CheckpointPayload = serde_json::from_str(json).unwrap();

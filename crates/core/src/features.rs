@@ -1,19 +1,20 @@
 //! Reference profiles and per-path pairwise features.
 //!
 //! A reference's *profile* is one probability propagation per join path:
-//! its weighted neighbor-tuple sets (`Prob_P(r → t)`) together with the
-//! return probabilities (`Prob_P(t → r)`). All pairwise quantities DISTINCT
-//! needs — per-path set resemblance (Definition 2) and per-path random
-//! walk probability (§2.4) — are computed from two profiles without
-//! touching the database again.
+//! its neighbor tuples in ascending node order, with their connection
+//! strengths (`Prob_P(r → t)`) and return probabilities (`Prob_P(t → r)`)
+//! side by side, all paths in one [`Propagation`] buffer. All pairwise
+//! quantities DISTINCT needs — per-path set resemblance (Definition 2) and
+//! per-path random walk probability (§2.4) — are merge-joins over two
+//! profiles' columns, without touching the database again.
 //!
 //! The tuple identified by the reference's own name (its author tuple) is
-//! removed from every per-path map: resembling references share it by
+//! removed from every path's run: resembling references share it by
 //! definition, so it carries no distinguishing signal but would otherwise
 //! contribute a large constant resemblance along the coauthor path.
 
 use crate::paths::PathSet;
-use relgraph::{directed_walk, LinkGraph, Propagation, WeightedSet};
+use relgraph::{directed_walk, resemblance, LinkGraph, PathColumns, Propagation};
 use relstore::{Catalog, TupleRef};
 
 /// Per-path propagation results for one reference.
@@ -21,10 +22,8 @@ use relstore::{Catalog, TupleRef};
 pub struct Profile {
     /// The reference this profile describes.
     pub reference: TupleRef,
-    /// One propagation per path (order matches the [`PathSet`]).
-    pub props: Vec<Propagation>,
-    /// Forward maps as weighted sets, for resemblance computation.
-    pub sets: Vec<WeightedSet>,
+    /// One run per path (order matches the [`PathSet`]).
+    pub columns: Propagation,
     /// True for zero-mass placeholders fabricated when a control limit cut
     /// profiling short (see [`empty_profile`]). Placeholders must never
     /// enter the profile cache: a later, unrestricted run has to recompute
@@ -35,12 +34,17 @@ pub struct Profile {
 impl Profile {
     /// Number of paths profiled.
     pub fn path_count(&self) -> usize {
-        self.props.len()
+        self.columns.paths()
     }
 
     /// Total neighbor tuples across all paths (diagnostics).
     pub fn neighbor_total(&self) -> usize {
-        self.props.iter().map(Propagation::neighbor_count).sum()
+        self.columns.neighbor_total()
+    }
+
+    /// The sorted columns of path `k`.
+    pub fn path(&self, k: usize) -> PathColumns<'_> {
+        self.columns.path(k)
     }
 }
 
@@ -59,7 +63,7 @@ pub fn build_profile(
 /// Like [`build_profile`], but cooperatively interruptible: `guard` is
 /// charged per propagation level (see
 /// [`relgraph::propagate_blocked_guarded`]) and returning `false` abandons
-/// the profile — `None` comes back and no partial per-path maps escape.
+/// the profile — `None` comes back and no partial runs escape.
 pub fn build_profile_guarded(
     graph: &LinkGraph,
     catalog: &Catalog,
@@ -75,18 +79,21 @@ pub fn build_profile_guarded(
         .map(|t| graph.node(t))
         .into_iter()
         .collect();
-    let mut props = Vec::with_capacity(paths.paths.len());
-    let mut sets = Vec::with_capacity(paths.paths.len());
+    let mut columns = Propagation::new();
     for path in &paths.paths {
-        let prop =
-            relgraph::propagate_blocked_guarded(graph, catalog, path, reference, &blocked, guard)?;
-        sets.push(WeightedSet::from_map(prop.forward.clone()));
-        props.push(prop);
+        relgraph::propagate_blocked_guarded(
+            graph,
+            catalog,
+            path,
+            reference,
+            &blocked,
+            guard,
+            &mut columns,
+        )?;
     }
     Some(Profile {
         reference,
-        props,
-        sets,
+        columns,
         placeholder: false,
     })
 }
@@ -96,46 +103,55 @@ pub fn build_profile_guarded(
 /// singleton. Degraded resolution uses these for references whose real
 /// profiles could not be computed before the budget ran out.
 pub fn empty_profile(paths: &PathSet, reference: TupleRef) -> Profile {
-    let n = paths.len();
     Profile {
         reference,
-        props: vec![Propagation::default(); n],
-        sets: vec![WeightedSet::from_map(Default::default()); n],
+        columns: Propagation::empty_paths(paths.len()),
         placeholder: true,
     }
 }
 
-/// Per-path set resemblance between two profiles (Definition 2), via the
-/// exact kernel — the canonical reference the pruned engine must match
-/// bit for bit.
-pub fn resemblance_features(a: &Profile, b: &Profile) -> Vec<f64> {
+/// The two profiles' runs of each path, in path order.
+fn path_pairs<'a>(
+    a: &'a Profile,
+    b: &'a Profile,
+) -> impl Iterator<Item = (PathColumns<'a>, PathColumns<'a>)> {
     debug_assert_eq!(a.path_count(), b.path_count());
-    a.sets
-        .iter()
-        .zip(&b.sets)
-        .map(|(x, y)| x.resemblance(y))
+    (0..a.path_count()).map(|k| (a.path(k), b.path(k)))
+}
+
+/// `Walk_P(x → y)` along one path: `x`'s forward row against `y`'s
+/// backward row.
+fn walk(x: PathColumns<'_>, y: PathColumns<'_>) -> f64 {
+    directed_walk(x.forward_row(), y.backward_row())
+}
+
+/// Per-path set resemblance between two profiles (Definition 2), pair by
+/// pair — the canonical reference the pruned engine must match bit for
+/// bit.
+pub fn resemblance_features(a: &Profile, b: &Profile) -> Vec<f64> {
+    path_pairs(a, b)
+        .map(|(x, y)| {
+            resemblance(
+                x.forward_row(),
+                x.total_forward(),
+                y.forward_row(),
+                y.total_forward(),
+            )
+        })
         .collect()
 }
 
 /// Per-path symmetrized random walk probability between two profiles.
 pub fn walk_features(a: &Profile, b: &Profile) -> Vec<f64> {
-    debug_assert_eq!(a.path_count(), b.path_count());
-    a.props
-        .iter()
-        .zip(&b.props)
-        .map(|(x, y)| 0.5 * (directed_walk(x, y) + directed_walk(y, x)))
+    path_pairs(a, b)
+        .map(|(x, y)| 0.5 * (walk(x, y) + walk(y, x)))
         .collect()
 }
 
 /// Per-path *directed* walk probability `a → b` (used for the collective
 /// cluster measure, which is directional before symmetrization).
 pub fn directed_walk_features(a: &Profile, b: &Profile) -> Vec<f64> {
-    debug_assert_eq!(a.path_count(), b.path_count());
-    a.props
-        .iter()
-        .zip(&b.props)
-        .map(|(x, y)| directed_walk(x, y))
-        .collect()
+    path_pairs(a, b).map(|(x, y)| walk(x, y)).collect()
 }
 
 /// Weighted sum of a feature vector: `Σ w_i · f_i`.
@@ -189,9 +205,8 @@ mod tests {
         let own = f.catalog.follow_forward(f.paths.ref_fk, r).unwrap();
         let own_node = f.graph.node(own);
         let p = build_profile(&f.graph, &f.catalog, &f.paths, r);
-        for prop in &p.props {
-            assert!(!prop.forward.contains_key(&own_node));
-            assert!(!prop.backward.contains_key(&own_node));
+        for k in 0..p.path_count() {
+            assert!(p.path(k).nodes.binary_search(&own_node).is_err());
         }
     }
 

@@ -17,7 +17,7 @@ use crate::config::{CompositeMode, MeasureMode};
 use crate::features::{weighted_sum, Profile};
 use crate::learn::PathWeights;
 use cluster::Merger;
-use relgraph::{ArenaPool, IntersectionMatrix, SetArena, WeightedSet};
+use relgraph::{ArenaPool, IntersectionMatrix, SetArena};
 use relstore::FxHashMap;
 use std::borrow::Borrow;
 use std::ops::Range;
@@ -188,7 +188,8 @@ impl DistinctMerger {
     /// being rebuilt from cold heap on every call — the scratch seam that
     /// lets an engine reuse arena capacity across resolves of different
     /// names. Tables are bit-identical to the per-call build:
-    /// [`SetArena::rebuild`] is content-equivalent to `SetArena::build`.
+    /// [`SetArena::rebuild_rows`] is content-equivalent to
+    /// [`SetArena::build`].
     pub fn from_profiles_pooled<P>(
         profiles: &[P],
         weights: &PathWeights,
@@ -466,43 +467,14 @@ fn build_path_kernels<P: Borrow<Profile>>(
 }
 
 /// Rebuild `arena` over join path `k`'s rows: every reference's forward
-/// set, then every reference's backward map.
-///
-/// A backward row is streamed off the forward set's ascending support by
-/// looking each node up in the backward map — the two maps share their
-/// key sets ([`relgraph::Propagation`]), so this yields exactly the
-/// sorted [`relgraph::Propagation::backward_set`] without cloning or
-/// sorting a map. When `WeightedSet` dropped a non-positive forward
-/// weight the supports differ (`sets[k].len() != backward.len()`), and
-/// that reference falls back to `backward_set()`.
+/// row, then every reference's backward row, streamed straight off the
+/// profiles' sorted columns.
 fn rebuild_path_arena<P: Borrow<Profile>>(arena: &mut SetArena, profiles: &[P], k: usize) {
     let n = profiles.len();
-    let fallback: Vec<(usize, WeightedSet)> = profiles
-        .iter()
-        .map(Borrow::borrow)
-        .enumerate()
-        .filter(|(_, p)| p.sets[k].len() != p.props[k].backward.len())
-        .map(|(i, p)| (i, p.props[k].backward_set()))
-        .collect();
     arena.rebuild_rows((0..2 * n).map(|x| {
-        let p = profiles[x % n].borrow();
-        let (set, lookup) = if x < n {
-            (&p.sets[k], None)
-        } else {
-            match fallback.binary_search_by_key(&(x - n), |&(i, _)| i) {
-                Ok(f) => (&fallback[f].1, None),
-                Err(_) => (&p.sets[k], Some(&p.props[k].backward)),
-            }
-        };
-        set.iter().filter_map(move |(node, w)| match lookup {
-            None => Some((node, w)),
-            // `backward_set` keeps positive weights only; so does this.
-            Some(backward) => backward
-                .get(&node)
-                .copied()
-                .filter(|&b| b > 0.0)
-                .map(|b| (node, b)),
-        })
+        let run = profiles[x % n].borrow().path(k);
+        let weights = if x < n { run.forward } else { run.backward };
+        run.nodes.iter().copied().zip(weights.iter().copied())
     }));
 }
 
@@ -555,27 +527,29 @@ impl Merger for DistinctMerger {
 mod tests {
     use super::*;
     use cluster::agglomerate;
-    use relgraph::{NodeId, Propagation, WeightedSet};
-    use relstore::{FxHashMap, RelId, TupleId, TupleRef};
+    use relgraph::{NodeId, Propagation};
+    use relstore::{RelId, TupleId, TupleRef};
 
-    /// Build a synthetic profile over one "path" whose forward map is given
-    /// by (node, weight) pairs; backward mirrors forward (good enough for
-    /// merger arithmetic tests).
-    fn profile(idx: u32, pairs: &[(u32, f64)]) -> Profile {
-        let mut fwd: FxHashMap<NodeId, f64> = FxHashMap::default();
-        for &(n, w) in pairs {
-            fwd.insert(NodeId(n), w);
-        }
-        let prop = Propagation {
-            forward: fwd.clone(),
-            backward: fwd.clone(),
-        };
+    /// A one-path profile from `(node, forward, backward)` entries in any
+    /// order (a later entry for the same node wins, as with a map insert).
+    fn column_profile(idx: u32, entries: &[(u32, f64, f64)]) -> Profile {
+        let sorted: std::collections::BTreeMap<u32, (f64, f64)> =
+            entries.iter().map(|&(n, f, b)| (n, (f, b))).collect();
+        let mut columns = Propagation::new();
+        columns.push_path(sorted.into_iter().map(|(n, (f, b))| (NodeId(n), f, b)));
         Profile {
             reference: TupleRef::new(RelId(0), TupleId(idx)),
-            sets: vec![WeightedSet::from_map(prop.forward.clone())],
-            props: vec![prop],
+            columns,
             placeholder: false,
         }
+    }
+
+    /// A synthetic one-path profile whose forward masses are given by
+    /// (node, weight) pairs; backward mirrors forward (good enough for
+    /// merger arithmetic tests).
+    fn profile(idx: u32, pairs: &[(u32, f64)]) -> Profile {
+        let entries: Vec<(u32, f64, f64)> = pairs.iter().map(|&(n, w)| (n, w, w)).collect();
+        column_profile(idx, &entries)
     }
 
     fn weights() -> PathWeights {
@@ -658,7 +632,7 @@ mod tests {
     #[test]
     fn geometric_composite_vetoes_on_either_zero() {
         // Profiles share neighbors (resemblance > 0) but have zero walk
-        // probability: different nodes in backward maps would be needed.
+        // probability: different nodes in backward rows would be needed.
         // Construct resem > 0, walk = 0 by giving asymmetric supports:
         // here we instead verify the arithmetic difference directly.
         let p = vec![profile(0, &[(1, 1.0)]), profile(1, &[(1, 1.0)])];
@@ -817,35 +791,27 @@ mod tests {
         assert!(counters.pruned > counters.exact);
     }
 
-    /// A one-path profile whose forward and backward maps share the keys
-    /// of `entries` (`node, forward weight, backward weight`; a later
-    /// entry for the same node wins, as with any map insert).
-    fn two_map_profile(idx: u32, entries: &[(u32, f64, f64)]) -> Profile {
-        let mut forward: FxHashMap<NodeId, f64> = FxHashMap::default();
-        let mut backward: FxHashMap<NodeId, f64> = FxHashMap::default();
-        for &(n, f, b) in entries {
-            forward.insert(NodeId(n), f);
-            backward.insert(NodeId(n), b);
-        }
-        Profile {
-            reference: TupleRef::new(RelId(0), TupleId(idx)),
-            sets: vec![WeightedSet::from_map(forward.clone())],
-            props: vec![Propagation { forward, backward }],
-            placeholder: false,
-        }
+    /// The forward rows, then the backward rows, of path 0.
+    fn path_rows(profiles: &[Profile]) -> Vec<Vec<(NodeId, f64)>> {
+        let rows = |backward: bool| {
+            profiles.iter().map(move |p| {
+                let run = p.path(0);
+                let w = if backward { run.backward } else { run.forward };
+                run.nodes.iter().copied().zip(w.iter().copied()).collect()
+            })
+        };
+        rows(false).chain(rows(true)).collect()
     }
 
     proptest::proptest! {
         // The streamed path arena interns exactly what `SetArena::build`
-        // does over the forward sets and the sorted `backward_set()`s.
-        // Weights are quarter steps, so rows repeat often; `dup` appends a
-        // copy of one reference; empty rows occur; forward weights ≤ 0
-        // (dropped by `WeightedSet`) force the `backward_set()` fallback;
-        // zero backward weights are dropped on both sides.
+        // does over the forward rows and then the backward rows. Masses
+        // are quarter steps, so rows repeat often; `dup` appends a copy of
+        // one reference; empty rows occur.
         #[test]
-        fn streamed_path_arena_matches_build_over_backward_sets(
+        fn streamed_path_arena_matches_build_over_the_rows(
             refs in proptest::collection::vec(
-                proptest::collection::vec((0u32..10, -1i32..4, 0i32..4), 0..6),
+                proptest::collection::vec((0u32..10, 1i32..4, 1i32..4), 0..6),
                 1..10,
             ),
             dup in 0usize..10,
@@ -858,47 +824,34 @@ mod tests {
                         .iter()
                         .map(|&(n, f, b)| (n, 0.25 * f64::from(f), 0.25 * f64::from(b)))
                         .collect();
-                    two_map_profile(i as u32, &entries)
+                    column_profile(i as u32, &entries)
                 })
                 .collect();
             profiles.push(profiles[dup % profiles.len()].clone());
             let mut streamed = SetArena::empty();
             rebuild_path_arena(&mut streamed, &profiles, 0);
-            let backward: Vec<WeightedSet> =
-                profiles.iter().map(|p| p.props[0].backward_set()).collect();
-            let built = SetArena::build(profiles.iter().map(|p| &p.sets[0]).chain(&backward));
-            proptest::prop_assert_eq!(streamed, built);
+            proptest::prop_assert_eq!(streamed, SetArena::build(path_rows(&profiles)));
         }
     }
 
     #[test]
-    fn streamed_path_arena_covers_duplicates_empties_and_the_fallback() {
+    fn streamed_path_arena_covers_duplicates_and_empties() {
         let profiles = vec![
-            two_map_profile(0, &[(1, 0.5, 0.25), (3, 0.5, 0.75)]),
-            two_map_profile(1, &[]),
-            two_map_profile(2, &[(1, 0.5, 0.25), (3, 0.5, 0.75)]),
-            // A non-positive forward weight: the forward set drops node 2
-            // but the backward map keeps it, so this row falls back.
-            two_map_profile(3, &[(2, 0.0, 0.5), (4, 1.0, 0.5)]),
+            column_profile(0, &[(1, 0.5, 0.25), (3, 0.5, 0.75)]),
+            column_profile(1, &[]),
+            column_profile(2, &[(1, 0.5, 0.25), (3, 0.5, 0.75)]),
         ];
-        assert_ne!(
-            profiles[3].sets[0].len(),
-            profiles[3].props[0].backward.len()
-        );
         let mut streamed = SetArena::empty();
         rebuild_path_arena(&mut streamed, &profiles, 0);
-        let backward: Vec<WeightedSet> =
-            profiles.iter().map(|p| p.props[0].backward_set()).collect();
-        let built = SetArena::build(profiles.iter().map(|p| &p.sets[0]).chain(&backward));
-        assert_eq!(streamed, built);
+        assert_eq!(streamed, SetArena::build(path_rows(&profiles)));
         assert_eq!(streamed.row_of(0), streamed.row_of(2));
         // An empty row's total is the empty sum, `-0.0`.
         assert_eq!(
             streamed.total(streamed.row_of(1)).to_bits(),
             (-0.0f64).to_bits()
         );
-        // The fallback row carries node 2's backward weight.
-        assert_eq!(streamed.total(streamed.row_of(4 + 3)), 1.0);
+        // The backward rows carry the backward masses.
+        assert_eq!(streamed.total(streamed.row_of(3)), 1.0);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! ```
 
 use crate::control::RunControl;
-use relstore::TupleRef;
+use relstore::{RelId, TupleRef};
 use std::path::Path;
 use std::time::Duration;
 
@@ -215,14 +215,30 @@ impl<'a> ResolveRequest<'a> {
         !self.must_link.is_empty() || !self.cannot_link.is_empty()
     }
 
-    /// Why clustering cannot run this request at threshold `min_sim`: a
-    /// non-finite threshold, or a constraint pair that names a reference
-    /// out of range, links a reference with itself, or is both must-link
-    /// and cannot-link (the cases [`cluster::ConstrainedMerger::new`]
-    /// asserts on).
-    pub(crate) fn check(&self, min_sim: f64) -> Result<(), String> {
+    /// Why the engine cannot run this request at threshold `min_sim`
+    /// over the reference relation `ref_rel` of `ref_count` tuples: a
+    /// non-finite threshold, a reference that is not an in-range tuple of
+    /// `ref_rel`, or a constraint pair that names a reference out of
+    /// range, links a reference with itself, or is both must-link and
+    /// cannot-link (the cases [`cluster::ConstrainedMerger::new`] asserts
+    /// on).
+    pub(crate) fn check(
+        &self,
+        min_sim: f64,
+        ref_rel: RelId,
+        ref_count: usize,
+    ) -> Result<(), String> {
         if !min_sim.is_finite() {
             return Err(format!("min_sim must be finite, got {min_sim}"));
+        }
+        if let Some(r) = self
+            .refs
+            .iter()
+            .find(|r| r.rel != ref_rel || r.tid.index() >= ref_count)
+        {
+            return Err(format!(
+                "reference {r:?} is not one of the {ref_count} tuples of the reference relation"
+            ));
         }
         let n = self.refs.len();
         let mut pairs = self.must_link.iter().chain(&self.cannot_link);

@@ -443,7 +443,9 @@ impl Distinct {
         })?;
         let n = req.refs.len();
         let min_sim = req.min_sim.unwrap_or(self.config().min_sim);
-        req.check(min_sim).map_err(DistinctError::Config)?;
+        let ref_rel = self.paths().start;
+        req.check(min_sim, ref_rel, self.catalog().relation(ref_rel).len())
+            .map_err(DistinctError::Config)?;
         let unlimited = RunControl::new();
         let ctl = req.control.unwrap_or(&unlimited);
         let mut retry = Retry::new(opts);
@@ -740,7 +742,7 @@ mod tests {
     use crate::config::DistinctConfig;
     use crate::request::ResolveRequest;
     use datagen::{AmbiguousSpec, World, WorldConfig};
-    use relstore::{FaultPlan, FaultyVfs};
+    use relstore::{FaultPlan, FaultyVfs, TupleRef};
     use std::path::PathBuf;
 
     fn dataset() -> datagen::DblpDataset {
@@ -1051,6 +1053,18 @@ mod tests {
         let n = refs.len();
         let dir = TempDir::new("malformed");
         let base = || ResolveRequest::new(&refs).resume(dir.path());
+        let start = e.paths().start;
+        let len = e.catalog().relation(start).len() as u32;
+        let mut past_end = refs.clone();
+        past_end.push(TupleRef::new(start, relstore::TupleId(len)));
+        let other = e
+            .catalog()
+            .relations()
+            .map(|(rid, _)| rid)
+            .find(|&rid| rid != start)
+            .unwrap();
+        let mut foreign = refs.clone();
+        foreign[0] = TupleRef::new(other, relstore::TupleId(0));
         let cases = [
             ("must-link out of range", base().must_link(&[(0, n)])),
             (
@@ -1065,6 +1079,14 @@ mod tests {
             ),
             ("NaN threshold", base().min_sim(f64::NAN)),
             ("infinite threshold", base().min_sim(f64::INFINITY)),
+            (
+                "reference past the end of its relation",
+                ResolveRequest::new(&past_end).resume(dir.path()),
+            ),
+            (
+                "reference from another relation",
+                ResolveRequest::new(&foreign).resume(dir.path()),
+            ),
         ];
         for (what, req) in cases {
             match e.resolve_durable_with(&req, &mut StdVfs, &fast_opts()) {

@@ -13,10 +13,9 @@ use crate::model::{FileCtx, Role};
 /// Files whose loops must charge the work budget (D005). Paths are
 /// workspace-relative. This is the project's definition of "hot path":
 /// the stage drivers where an unguarded loop can starve cancellation.
-pub const HOT_PATH_FILES: [&str; 10] = [
+pub const HOT_PATH_FILES: [&str; 9] = [
     "crates/relgraph/src/propagate.rs",
-    "crates/relgraph/src/walk.rs",
-    "crates/relgraph/src/neighbors.rs",
+    "crates/relgraph/src/kernel.rs",
     "crates/core/src/features.rs",
     "crates/core/src/pipeline.rs",
     "crates/core/src/training.rs",

@@ -1,7 +1,7 @@
 //! Columnar kernel arena: interned, flattened weighted sets.
 //!
 //! [`SetArena::rebuild_rows`] takes the weighted rows of one similarity
-//! stage (e.g. all forward and backward maps of one join path), streamed
+//! stage (e.g. all forward and backward rows of one join path), streamed
 //! as ascending `(NodeId, weight)` iterators, and re-encodes them for the
 //! pairwise kernels:
 //!
@@ -16,27 +16,25 @@
 //! * **id interning** — every [`NodeId`] appearing in any row is mapped
 //!   to a dense `u32` by ascending node id. The mapping is
 //!   order-preserving, so ascending interned order *is* ascending node
-//!   order and merge-joins accumulate in exactly the order the
-//!   [`WeightedSet`] kernels use — the bit-identity the determinism
-//!   contract needs;
+//!   order and the merge-joins accumulate in exactly the order they do
+//!   over the source rows — the bit-identity the determinism contract
+//!   needs;
 //! * **flat columns** — all rows live in two contiguous `ids`/`weights`
 //!   columns sliced by offset, so a kernel streams two cache-resident
 //!   runs instead of chasing per-pair map storage.
 //!
-//! [`SetArena::resemblance_rows`] and [`SetArena::dot_rows`] are
-//! bit-identical to [`WeightedSet::resemblance`] and
-//! [`crate::directed_walk`] respectively (property-tested below):
-//! row totals are accumulated left-to-right like `WeightedSet::total`,
-//! `x + 0.0 == x` for the non-negative partial sums makes the
-//! intersection-only dot equal to the walk's zero-including sum, and
-//! f64 multiplication is commutative bitwise.
+//! [`SetArena::resemblance_rows`] and [`SetArena::dot_rows`] run
+//! [`crate::resemblance`] and [`crate::directed_walk`] on the interned
+//! rows, so they are bit-identical to the same kernels on the source rows
+//! (property-tested below): row totals are accumulated left to right,
+//! like `weights.iter().sum()`.
 //!
 //! [`SetArena::intersections`] precomputes the exact support-overlap
 //! matrix over distinct rows from CSR posting lists (one buffer: count,
 //! prefix sum, fill) — the pruned similarity engine's zero certificate.
 
 use crate::graph::NodeId;
-use crate::WeightedSet;
+use crate::kernel::{directed_walk, resemblance};
 use relstore::FxHashMap;
 
 /// End of an intrusive dedup chain.
@@ -70,8 +68,8 @@ pub struct SetArena {
     ids: Vec<u32>,
     /// Member weights, aligned with `ids`.
     weights: Vec<f64>,
-    /// Per-row total mass, accumulated left-to-right (bit-identical to
-    /// the source set's `total()`).
+    /// Per-row total mass, accumulated left to right (bit-identical to
+    /// the source row's `weights.iter().sum()`).
     totals: Vec<f64>,
     /// The interning table: sorted distinct node ids (dense id → node).
     nodes: Vec<u32>,
@@ -99,18 +97,22 @@ impl SetArena {
         }
     }
 
-    /// Build an arena over the given sets (in order; the index of each
-    /// set in this iteration is its input index for [`SetArena::row_of`]).
-    pub fn build<'a>(sets: impl IntoIterator<Item = &'a WeightedSet>) -> SetArena {
+    /// Build an arena over the given rows (in order; the index of each
+    /// row in this iteration is its input index for [`SetArena::row_of`]).
+    pub fn build<R>(rows: R) -> SetArena
+    where
+        R: IntoIterator,
+        R::Item: IntoIterator<Item = (NodeId, f64)>,
+    {
         let mut arena = Self::empty();
-        arena.rebuild_rows(sets.into_iter().map(WeightedSet::iter));
+        arena.rebuild_rows(rows);
         arena
     }
 
     /// Rebuild this arena in place over a new row sequence, reusing the
     /// capacity left by the previous build. Each row is an iterator of
-    /// `(node, weight)` pairs in strictly ascending node order — the
-    /// shape of [`WeightedSet::iter`]. The result is a pure function of
+    /// `(node, weight)` pairs in strictly ascending node order — one
+    /// [`crate::PathColumns`] row, zipped. The result is a pure function of
     /// the rows' contents: distinct rows are numbered in first-appearance
     /// order and totals accumulate left to right, so it is field for
     /// field identical to `SetArena::build` over the same sets. Capacity
@@ -134,7 +136,7 @@ impl SetArena {
             let lo = self.ids.len();
             let mut h = 0xcbf2_9ce4_8422_2325u64;
             // `-0.0` is std's `Sum<f64>` identity, so starting there makes
-            // the accumulated total bit-identical to `WeightedSet::total()`
+            // the accumulated total bit-identical to `weights.iter().sum()`
             // even for empty rows (where the sum *is* `-0.0`).
             let mut total = -0.0f64;
             for (NodeId(n), w) in row {
@@ -226,75 +228,22 @@ impl SetArena {
         (&self.ids[lo..hi], &self.weights[lo..hi])
     }
 
-    /// Total mass of a distinct row (bit-identical to the source set's
-    /// [`WeightedSet::total`]).
+    /// Total mass of a distinct row (bit-identical to the source row's
+    /// `weights.iter().sum()`).
     pub fn total(&self, r: u32) -> f64 {
         self.totals[r as usize]
     }
 
-    /// Weighted Jaccard resemblance of two distinct rows, bit-identical
-    /// to [`WeightedSet::resemblance`] on the source sets.
+    /// [`crate::resemblance`] of two distinct rows.
     pub fn resemblance_rows(&self, a: u32, b: u32) -> f64 {
-        let (ia, wa) = self.row(a);
-        let (ib, wb) = self.row(b);
-        if ia.is_empty() || ib.is_empty() {
-            return 0.0;
-        }
-        // Same merge-join, same ascending order (interning preserves node
-        // order), same `Σ min` accumulation as the WeightedSet kernel.
-        let mut num = 0.0;
-        let (mut i, mut j) = (0, 0);
-        while i < ia.len() && j < ib.len() {
-            match ia[i].cmp(&ib[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    num += wa[i].min(wb[j]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        let den = self.totals[a as usize] + self.totals[b as usize] - num;
-        if den <= 0.0 {
-            0.0
-        } else {
-            num / den
-        }
+        resemblance(self.row(a), self.total(a), self.row(b), self.total(b))
     }
 
-    /// Intersection dot product `Σ_t w_a(t) · w_b(t)` of two distinct
-    /// rows — bit-identical to [`crate::directed_walk`] when `a` encodes
-    /// the forward map and `b` the backward map (or vice versa: the dot
-    /// is symmetric, and f64 multiplication commutes bitwise).
-    ///
-    /// The walk sums over the smaller support *including* zero-product
-    /// terms for unmatched nodes; adding `+0.0` to the non-negative
-    /// partial sums is the identity, so the intersection-only merge-join
-    /// reproduces every bit. Zero signs match too: the walk's `Sum` folds
-    /// from `-0.0`, which survives only when the iterated support is
-    /// empty — so an empty row yields `-0.0` here, and a non-empty
-    /// disjoint pair yields `+0.0` (the first `w · 0.0` term flips it).
+    /// [`crate::directed_walk`] of two distinct rows: `a` encodes a
+    /// forward row and `b` a backward row, or vice versa (the dot is
+    /// symmetric, and f64 multiplication commutes bitwise).
     pub fn dot_rows(&self, a: u32, b: u32) -> f64 {
-        let (ia, wa) = self.row(a);
-        let (ib, wb) = self.row(b);
-        if ia.is_empty() || ib.is_empty() {
-            return -0.0;
-        }
-        let mut sum = 0.0;
-        let (mut i, mut j) = (0, 0);
-        while i < ia.len() && j < ib.len() {
-            match ia[i].cmp(&ib[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    sum += wa[i] * wb[j];
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        sum
+        directed_walk(self.row(a), self.row(b))
     }
 
     /// Exact support-overlap matrix over distinct rows, from CSR posting
@@ -487,21 +436,38 @@ impl IntersectionMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::directed_walk;
-    use crate::propagate::Propagation;
     use proptest::prelude::*;
 
-    fn set(pairs: &[(u32, f64)]) -> WeightedSet {
-        pairs.iter().map(|&(n, w)| (NodeId(n), w)).collect()
+    /// A sorted weighted row.
+    type Set = Vec<(NodeId, f64)>;
+
+    /// A canonical row from arbitrary pairs: sorted by node, duplicates
+    /// summed in input order, non-positive weights dropped.
+    fn set(pairs: &[(u32, f64)]) -> Set {
+        let mut sorted = pairs.to_vec();
+        sorted.sort_by_key(|&(n, _)| n);
+        let mut out: Set = Vec::new();
+        for (n, w) in sorted {
+            match out.last_mut() {
+                Some((m, acc)) if m.0 == n => *acc += w,
+                _ => out.push((NodeId(n), w)),
+            }
+        }
+        out.retain(|&(_, w)| w > 0.0);
+        out
     }
 
-    /// A propagation whose forward map is `fwd` and backward map is `bwd`
-    /// (only the fields `directed_walk` reads).
-    fn prop(fwd: &WeightedSet, bwd: &WeightedSet) -> Propagation {
-        Propagation {
-            forward: fwd.iter().collect(),
-            backward: bwd.iter().collect(),
-        }
+    fn total(s: &Set) -> f64 {
+        s.iter().map(|&(_, w)| w).sum()
+    }
+
+    /// True when the two rows share a node.
+    fn shares(a: &Set, b: &Set) -> bool {
+        a.iter().any(|(n, _)| b.iter().any(|(m, _)| m == n))
+    }
+
+    fn columns(s: &Set) -> (Vec<NodeId>, Vec<f64>) {
+        s.iter().copied().unzip()
     }
 
     #[test]
@@ -509,7 +475,7 @@ mod tests {
         let a = set(&[(1, 0.5), (3, 0.5)]);
         let b = set(&[(2, 1.0)]);
         let a2 = set(&[(1, 0.5), (3, 0.5)]);
-        let arena = SetArena::build([&a, &b, &a2]);
+        let arena = SetArena::build([a, b, a2]);
         assert_eq!(arena.inputs(), 3);
         assert_eq!(arena.rows(), 2);
         assert_eq!(arena.row_of(0), arena.row_of(2));
@@ -521,7 +487,7 @@ mod tests {
     fn near_identical_weights_do_not_dedup() {
         let a = set(&[(1, 0.5)]);
         let b = set(&[(1, 0.5 + f64::EPSILON)]);
-        let arena = SetArena::build([&a, &b]);
+        let arena = SetArena::build([a, b]);
         assert_eq!(arena.rows(), 2);
     }
 
@@ -532,18 +498,16 @@ mod tests {
             set(&[]),
             set(&[(4, 1e-9), (5, 1e9)]),
         ];
-        let arena = SetArena::build(sets.iter());
+        let arena = SetArena::build(sets.clone());
         for (i, s) in sets.iter().enumerate() {
             let t = arena.total(arena.row_of(i));
-            assert_eq!(t.to_bits(), s.total().to_bits());
+            assert_eq!(t.to_bits(), total(s).to_bits());
         }
     }
 
     #[test]
     fn empty_rows_kernel_to_zero_and_do_not_intersect() {
-        let e = set(&[]);
-        let s = set(&[(1, 1.0)]);
-        let arena = SetArena::build([&e, &s]);
+        let arena = SetArena::build([set(&[]), set(&[(1, 1.0)])]);
         let (re, rs) = (arena.row_of(0), arena.row_of(1));
         assert_eq!(arena.resemblance_rows(re, rs), 0.0);
         assert_eq!(arena.resemblance_rows(re, re), 0.0);
@@ -556,8 +520,7 @@ mod tests {
 
     #[test]
     fn self_resemblance_is_exactly_one() {
-        let s = set(&[(1, 0.3), (5, 0.2), (9, 0.5)]);
-        let arena = SetArena::build([&s]);
+        let arena = SetArena::build([set(&[(1, 0.3), (5, 0.2), (9, 0.5)])]);
         let r = arena.row_of(0);
         // num accumulates the same bits as the total, and t + t − t == t
         // exactly, so the division is t / t == 1.0 with no rounding.
@@ -573,12 +536,11 @@ mod tests {
             set(&[(1, 0.1), (4, 0.9)]),
             set(&[]),
         ];
-        let arena = SetArena::build(sets.iter());
+        let arena = SetArena::build(sets.clone());
         let m = arena.intersections();
         for i in 0..sets.len() {
             for j in 0..sets.len() {
-                let expect =
-                    sets[i].jaccard_unweighted(&sets[j]) > 0.0 || (i == j && !sets[i].is_empty());
+                let expect = shares(&sets[i], &sets[j]);
                 let (ri, rj) = (arena.row_of(i), arena.row_of(j));
                 assert_eq!(m.intersects(ri, rj), expect, "({i}, {j})");
             }
@@ -593,12 +555,12 @@ mod tests {
             set(&[(9, 0.25), (11, 0.75)]),
         ];
         let second = [set(&[(1, 0.5)]), set(&[])];
-        let mut reused = SetArena::build(first.iter());
-        reused.rebuild_rows(second.iter().map(WeightedSet::iter));
-        assert_eq!(reused, SetArena::build(second.iter()));
+        let mut reused = SetArena::build(first.clone());
+        reused.rebuild_rows(second.clone());
+        assert_eq!(reused, SetArena::build(second));
         // And back again: stale capacity from `second` must not leak.
-        reused.rebuild_rows(first.iter().map(WeightedSet::iter));
-        assert_eq!(reused, SetArena::build(first.iter()));
+        reused.rebuild_rows(first.clone());
+        assert_eq!(reused, SetArena::build(first));
     }
 
     #[test]
@@ -611,8 +573,8 @@ mod tests {
         // even the offsets sentinel); only after a rebuild over zero sets
         // is it field-for-field the same as a fresh `build([])`.
         let mut rebuilt = SetArena::empty();
-        rebuilt.rebuild_rows(Vec::<Vec<(NodeId, f64)>>::new());
-        assert_eq!(rebuilt, SetArena::build([]));
+        rebuilt.rebuild_rows(Vec::<Set>::new());
+        assert_eq!(rebuilt, SetArena::build(Vec::<Set>::new()));
     }
 
     #[test]
@@ -621,47 +583,47 @@ mod tests {
         assert_eq!(pool.parked(), 0);
         let sets = [set(&[(1, 0.5), (2, 0.5)]), set(&[(3, 1.0)])];
         let mut a = pool.take(); // dry pool mints an empty arena
-        a.rebuild_rows(sets.iter().map(WeightedSet::iter));
+        a.rebuild_rows(sets.clone());
         let ids_cap = a.ids.capacity();
         pool.put(a);
         assert_eq!(pool.parked(), 1);
         let mut b = pool.take(); // recycled: same allocation comes back
         assert_eq!(pool.parked(), 0);
         assert!(b.ids.capacity() >= ids_cap);
-        b.rebuild_rows(sets.iter().map(WeightedSet::iter));
-        assert_eq!(b, SetArena::build(sets.iter()));
+        b.rebuild_rows(sets.clone());
+        assert_eq!(b, SetArena::build(sets));
         pool.put(b);
     }
 
     proptest! {
-        // The load-bearing property: the columnar kernel reproduces the
-        // nested-representation kernel bit for bit.
+        // The load-bearing property: the kernels on interned rows
+        // reproduce the kernels on the source rows bit for bit.
         #[test]
         fn resemblance_rows_bit_identical(
             xs in proptest::collection::vec((0u32..32, 1e-6f64..1.0), 0..25),
             ys in proptest::collection::vec((0u32..32, 1e-6f64..1.0), 0..25),
         ) {
             let (a, b) = (set(&xs), set(&ys));
-            let arena = SetArena::build([&a, &b]);
+            let arena = SetArena::build([a.clone(), b.clone()]);
             let got = arena.resemblance_rows(arena.row_of(0), arena.row_of(1));
-            prop_assert_eq!(got.to_bits(), a.resemblance(&b).to_bits());
+            let (ca, cb) = (columns(&a), columns(&b));
+            let want = resemblance((&ca.0[..], &ca.1[..]), total(&a), (&cb.0[..], &cb.1[..]), total(&b));
+            prop_assert_eq!(got.to_bits(), want.to_bits());
         }
 
-        // Same for the walk kernel: `dot_rows` vs `directed_walk` on
-        // propagations carrying the identical maps, both argument orders
-        // (the walk internally iterates whichever support is smaller).
+        // Same for the walk kernel, both row orders (the dot is
+        // symmetric: f64 multiplication commutes bitwise).
         #[test]
         fn dot_rows_bit_identical_to_directed_walk(
             xs in proptest::collection::vec((0u32..32, 1e-6f64..1.0), 0..25),
             ys in proptest::collection::vec((0u32..32, 1e-6f64..1.0), 0..25),
         ) {
             let (fwd, bwd) = (set(&xs), set(&ys));
-            let arena = SetArena::build([&fwd, &bwd]);
+            let arena = SetArena::build([fwd.clone(), bwd.clone()]);
             let got = arena.dot_rows(arena.row_of(0), arena.row_of(1));
-            let pa = prop(&fwd, &set(&[]));
-            let pb = prop(&set(&[]), &bwd);
-            prop_assert_eq!(got.to_bits(), directed_walk(&pa, &pb).to_bits());
-            // Symmetric in the rows (f64 multiply commutes bitwise).
+            let (cf, cb) = (columns(&fwd), columns(&bwd));
+            let want = directed_walk((&cf.0[..], &cf.1[..]), (&cb.0[..], &cb.1[..]));
+            prop_assert_eq!(got.to_bits(), want.to_bits());
             let rev = arena.dot_rows(arena.row_of(1), arena.row_of(0));
             prop_assert_eq!(got.to_bits(), rev.to_bits());
         }
@@ -674,19 +636,19 @@ mod tests {
                 1..8,
             ),
         ) {
-            let sets: Vec<WeightedSet> = sets.iter().map(|s| set(s)).collect();
-            let arena = SetArena::build(sets.iter());
+            let sets: Vec<Set> = sets.iter().map(|s| set(s)).collect();
+            let arena = SetArena::build(sets.clone());
             prop_assert_eq!(arena.inputs(), sets.len());
             for (i, s) in sets.iter().enumerate() {
                 prop_assert_eq!(
                     arena.total(arena.row_of(i)).to_bits(),
-                    s.total().to_bits()
+                    total(s).to_bits()
                 );
                 // Dedup is exact: equal rows ⟺ equal content.
                 for (j, t) in sets.iter().enumerate() {
                     let same_row = arena.row_of(i) == arena.row_of(j);
                     let same_content = s.len() == t.len()
-                        && s.iter().zip(t.iter()).all(|((n1, w1), (n2, w2))| {
+                        && s.iter().zip(t).all(|((n1, w1), (n2, w2))| {
                             n1 == n2 && w1.to_bits() == w2.to_bits()
                         });
                     prop_assert_eq!(same_row, same_content, "{} vs {}", i, j);
@@ -707,11 +669,11 @@ mod tests {
                 1..6,
             ),
         ) {
-            let first: Vec<WeightedSet> = first.iter().map(|s| set(s)).collect();
-            let second: Vec<WeightedSet> = second.iter().map(|s| set(s)).collect();
-            let mut reused = SetArena::build(first.iter());
-            reused.rebuild_rows(second.iter().map(WeightedSet::iter));
-            prop_assert_eq!(reused, SetArena::build(second.iter()));
+            let first: Vec<Set> = first.iter().map(|s| set(s)).collect();
+            let second: Vec<Set> = second.iter().map(|s| set(s)).collect();
+            let mut reused = SetArena::build(first);
+            reused.rebuild_rows(second.clone());
+            prop_assert_eq!(reused, SetArena::build(second));
         }
 
         // Exactness of the intersection matrix on arbitrary inputs, over
@@ -726,22 +688,17 @@ mod tests {
             stride in proptest::option::of(1u32..83_334),
         ) {
             let stride = stride.unwrap_or(1);
-            let sets: Vec<WeightedSet> = sets
+            let sets: Vec<Set> = sets
                 .iter()
-                .map(|s| s.iter().map(|&(n, w)| (NodeId(n * stride), w)).collect())
+                .map(|s| set(&s.iter().map(|&(n, w)| (n * stride, w)).collect::<Vec<_>>()))
                 .collect();
-            let arena = SetArena::build(sets.iter());
+            let arena = SetArena::build(sets.clone());
             let m = arena.intersections();
             for i in 0..sets.len() {
                 for j in 0..sets.len() {
-                    let expect = if arena.row_of(i) == arena.row_of(j) {
-                        !sets[i].is_empty()
-                    } else {
-                        sets[i].jaccard_unweighted(&sets[j]) > 0.0
-                    };
                     prop_assert_eq!(
                         m.intersects(arena.row_of(i), arena.row_of(j)),
-                        expect
+                        shares(&sets[i], &sets[j])
                     );
                 }
             }

@@ -6,11 +6,11 @@
 //!   repeated traversal;
 //! * [`propagate()`] — uniform probability propagation along a join path,
 //!   producing both `Prob_P(r → t)` (connection strength of each neighbor
-//!   tuple) and `Prob_P(t → r)` in a single pass (paper §2.2, Fig. 3);
-//! * [`WeightedSet`] — weighted neighbor-tuple sets with the
-//!   connection-strength-weighted Jaccard of Definition 2;
-//! * [`walk_probability`] — random-walk probability between two references
-//!   along a path and its reverse (paper §2.4);
+//!   tuple) and `Prob_P(t → r)` in a single pass (paper §2.2, Fig. 3),
+//!   written as sorted [`Propagation`] columns;
+//! * [`resemblance`] and [`directed_walk`] — the connection-strength-weighted
+//!   Jaccard of Definition 2 and the random-walk probability of §2.4, each
+//!   one merge-join over sorted rows;
 //! * [`SetArena`] — the similarity stage's lossless pruned kernel:
 //!   streamed, deduplicated columnar rows and one exact support-overlap
 //!   certificate over CSR postings.
@@ -19,12 +19,12 @@
 
 pub mod arena;
 pub mod graph;
-pub mod neighbors;
+pub mod kernel;
 pub mod propagate;
-pub mod walk;
 
 pub use arena::{ArenaPool, IntersectionMatrix, SetArena};
 pub use graph::{LinkGraph, NodeId};
-pub use neighbors::WeightedSet;
-pub use propagate::{propagate, propagate_blocked, propagate_blocked_guarded, Propagation};
-pub use walk::{directed_walk, walk_probability};
+pub use kernel::{directed_walk, resemblance, Row};
+pub use propagate::{
+    propagate, propagate_blocked, propagate_blocked_guarded, PathColumns, Propagation,
+};

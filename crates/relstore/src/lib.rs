@@ -11,8 +11,7 @@
 //! * a [`Catalog`] linking relations through resolved foreign-key edges,
 //!   with forward (many-to-one) and backward (one-to-many) traversal
 //!   ([`catalog`]);
-//! * the [`JoinPath`] model and exhaustive path enumeration ([`join`]),
-//!   plus tuple-level path traversal ([`traverse`]);
+//! * the [`JoinPath`] model and exhaustive path enumeration ([`join`]);
 //! * attribute-value expansion turning each data value into a pseudo-tuple
 //!   ([`expand`], paper §2.1);
 //! * CSV import/export ([`csv`]) and whole-catalog persistence
@@ -48,7 +47,6 @@ pub mod join;
 pub mod persist;
 pub mod relation;
 pub mod schema;
-pub mod traverse;
 pub mod tuple;
 pub mod value;
 
@@ -64,6 +62,5 @@ pub use persist::{
 };
 pub use relation::Relation;
 pub use schema::{AttrRole, Attribute, RelationSchema, SchemaBuilder};
-pub use traverse::{path_tuple_set, path_tuples, step_fanout, step_tuples};
 pub use tuple::{RelId, Tuple, TupleId, TupleRef};
 pub use value::{AttrType, Value};

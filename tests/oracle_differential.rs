@@ -345,16 +345,16 @@ fn pruned_kernel_prunes_on_a_real_world() {
     );
 }
 
-/// Regression for the sorted-iteration (lint D001) conversion of
-/// `WeightedSet`: the resemblance of two sets must be **bit-identical**
-/// however their backing maps were populated — f64 addition is not
-/// associative, and the old hash-order accumulation let insertion history
-/// perturb low-order bits — and must still agree with the oracle's
-/// literal Definition-2 union walk.
+/// Regression for sorted accumulation (lint D001): the resemblance of
+/// two neighbor rows must be **bit-identical** however their pairs were
+/// ordered before they were sorted into columns — f64 addition is not
+/// associative, so an order-dependent accumulation would let insertion
+/// history perturb low-order bits — and must still agree with the
+/// oracle's literal Definition-2 union walk.
 #[test]
 fn resemblance_is_insertion_order_invariant_and_matches_oracle() {
     use oracle::Mass;
-    use relgraph::{NodeId, WeightedSet};
+    use relgraph::NodeId;
     use relstore::{RelId, TupleId, TupleRef};
 
     // Deterministic pseudo-random weights over a moderately large support.
@@ -368,8 +368,20 @@ fn resemblance_is_insertion_order_invariant_and_matches_oracle() {
     let a_pairs: Vec<(u32, f64)> = (0..200).map(|i| (i * 3 % 251, next())).collect();
     let b_pairs: Vec<(u32, f64)> = (0..180).map(|i| (i * 7 % 251, next())).collect();
 
-    let build = |pairs: &[(u32, f64)]| -> WeightedSet {
-        pairs.iter().map(|&(n, w)| (NodeId(n), w)).collect()
+    // Sorted columns, as a propagation writes them.
+    let build = |pairs: &[(u32, f64)]| -> (Vec<NodeId>, Vec<f64>) {
+        let mut sorted: Vec<(NodeId, f64)> = pairs.iter().map(|&(n, w)| (NodeId(n), w)).collect();
+        sorted.sort_by_key(|&(n, _)| n);
+        sorted.into_iter().unzip()
+    };
+    let resemblance = |a: &(Vec<NodeId>, Vec<f64>), b: &(Vec<NodeId>, Vec<f64>)| {
+        let total = |w: &[f64]| w.iter().sum::<f64>();
+        relgraph::resemblance(
+            (&a.0[..], &a.1[..]),
+            total(&a.1),
+            (&b.0[..], &b.1[..]),
+            total(&b.1),
+        )
     };
     // Three insertion orders: as generated, reversed, and odd-then-even.
     let orders = |pairs: &[(u32, f64)]| -> Vec<Vec<(u32, f64)>> {
@@ -379,10 +391,10 @@ fn resemblance_is_insertion_order_invariant_and_matches_oracle() {
         vec![pairs.to_vec(), rev, split]
     };
 
-    let reference = build(&a_pairs).resemblance(&build(&b_pairs));
+    let reference = resemblance(&build(&a_pairs), &build(&b_pairs));
     for ao in orders(&a_pairs) {
         for bo in orders(&b_pairs) {
-            let r = build(&ao).resemblance(&build(&bo));
+            let r = resemblance(&build(&ao), &build(&bo));
             assert_eq!(
                 r.to_bits(),
                 reference.to_bits(),

@@ -228,12 +228,13 @@ proptest! {
         for k in 0..children {
             let prop_a = relgraph::propagate(&graph_a, &cat_a, &path_a, refs_a[k]);
             let prop_b = relgraph::propagate(&graph_b, &cat_b, &path_b, refs_b[k]);
-            prop_assert_eq!(prop_a.forward.len(), prop_b.forward.len());
-            for (&node, &mass) in &prop_a.forward {
+            let (run_a, run_b) = (prop_a.path(0), prop_b.path(0));
+            prop_assert_eq!(run_a.len(), run_b.len());
+            for (&node, &mass) in run_a.nodes.iter().zip(run_a.forward) {
                 // Identify end tuples by their logical key, not tuple id.
                 let t = graph_a.tuple(node);
                 let key = cat_a.relation(t.rel).tuple(t.tid).values()[0].clone();
-                let matched = prop_b.forward.iter().find(|(&nb, _)| {
+                let matched = run_b.nodes.iter().zip(run_b.forward).find(|(&nb, _)| {
                     let tb = graph_b.tuple(nb);
                     cat_b.relation(tb.rel).tuple(tb.tid).values()[0] == key
                 });

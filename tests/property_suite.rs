@@ -144,15 +144,16 @@ proptest! {
         let opts = PathEnumOptions { max_len: 3, ..Default::default() };
         for path in enumerate_paths(&ex.catalog, child, &opts) {
             let prop = propagate(&graph, &ex.catalog, &path, origin);
+            let run = prop.path(0);
             // Forward mass never exceeds 1.
-            prop_assert!(prop.total_forward() <= 1.0 + 1e-9);
-            // Forward and backward supports coincide; all values in (0, 1].
-            for (n, &f) in &prop.forward {
+            prop_assert!(run.total_forward() <= 1.0 + 1e-9);
+            // Nodes strictly ascending, each with both masses in (0, 1].
+            prop_assert!(run.nodes.windows(2).all(|w| w[0] < w[1]));
+            prop_assert_eq!(run.forward.len(), run.backward.len());
+            for (&f, &b) in run.forward.iter().zip(run.backward) {
                 prop_assert!(f > 0.0 && f <= 1.0 + 1e-9);
-                let b = prop.backward[n];
                 prop_assert!(b > 0.0 && b <= 1.0 + 1e-9);
             }
-            prop_assert_eq!(prop.forward.len(), prop.backward.len());
         }
     }
 

@@ -5,9 +5,7 @@
 
 use datagen::{to_catalog, AmbiguousSpec, World, WorldConfig};
 use relgraph::{propagate, LinkGraph};
-use relstore::{
-    csv, expand_values, path_tuple_set, Catalog, JoinPath, JoinStep, PathEnumOptions, TupleRef,
-};
+use relstore::{csv, expand_values, Catalog, JoinPath, JoinStep, PathEnumOptions, TupleRef};
 
 fn dataset() -> datagen::DblpDataset {
     let mut config = WorldConfig::tiny(9);
@@ -54,15 +52,15 @@ fn propagation_forward_mass_is_bounded_on_every_path() {
     for path in paths.iter().take(12) {
         for &r in truth.refs.iter().take(5) {
             let prop = propagate(&graph, &ex.catalog, path, r);
-            let total = prop.total_forward();
+            let run = prop.path(0);
+            let total = run.total_forward();
             assert!(
                 total <= 1.0 + 1e-9,
                 "path {} leaked mass: {total}",
                 path.describe(&ex.catalog)
             );
-            for (&n, &p) in &prop.forward {
+            for (&p, &b) in run.forward.iter().zip(run.backward) {
                 assert!(p > 0.0 && p <= 1.0 + 1e-9);
-                let b = prop.backward[&n];
                 assert!(b > 0.0 && b <= 1.0 + 1e-9);
             }
         }
@@ -71,8 +69,8 @@ fn propagation_forward_mass_is_bounded_on_every_path() {
 
 #[test]
 fn propagation_support_matches_raw_traversal() {
-    // The tuples with nonzero probability must be exactly the tuples
-    // reachable by the tuple-level traversal.
+    // The tuples with nonzero probability must be exactly the tuples the
+    // oracle's walk enumeration over the catalog's own indexes reaches.
     let d = dataset();
     let ex = expand_values(&d.catalog).unwrap();
     let graph = LinkGraph::build(&ex.catalog);
@@ -85,15 +83,14 @@ fn propagation_support_matches_raw_traversal() {
     let r = d.truths[0].refs[0];
     for path in paths.iter().take(10) {
         let prop = propagate(&graph, &ex.catalog, path, r);
-        let mut via_prop: Vec<TupleRef> = prop.forward.keys().map(|&n| graph.tuple(n)).collect();
+        let mut via_prop: Vec<TupleRef> =
+            prop.path(0).nodes.iter().map(|&n| graph.tuple(n)).collect();
         via_prop.sort_unstable();
-        let via_traverse = path_tuple_set(&ex.catalog, path, r);
-        assert_eq!(
-            via_prop,
-            via_traverse,
-            "path {}",
-            path.describe(&ex.catalog)
-        );
+        let via_walks: Vec<TupleRef> = oracle::enumerate_propagation(&ex.catalog, path, r, &[])
+            .forward
+            .into_keys()
+            .collect();
+        assert_eq!(via_prop, via_walks, "path {}", path.describe(&ex.catalog));
     }
 }
 
@@ -148,6 +145,7 @@ fn empty_join_path_is_identity_everywhere() {
     let path = JoinPath::empty(publish);
     let r = d.truths[0].refs[0];
     let prop = propagate(&graph, &ex.catalog, &path, r);
-    assert_eq!(prop.neighbor_count(), 1);
-    assert_eq!(path_tuple_set(&ex.catalog, &path, r), vec![r]);
+    assert_eq!(prop.path(0).nodes, [graph.node(r)]);
+    let walks = oracle::enumerate_propagation(&ex.catalog, &path, r, &[]);
+    assert_eq!(walks.forward.into_keys().collect::<Vec<_>>(), vec![r]);
 }
