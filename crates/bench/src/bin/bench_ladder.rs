@@ -124,7 +124,12 @@ fn run_rung(r: &Rung) -> Result<(), BenchError> {
         &dataset.catalog,
         "Publish",
         "author",
-        DistinctConfig::default(),
+        // One worker, not all cores: a rung's threads, stage walls and
+        // metered allocations must not depend on the host.
+        DistinctConfig {
+            threads: 1,
+            ..DistinctConfig::default()
+        },
     )
     .stage(BIN, "prepare the engine")?;
     let prepare_ms = ms(t1.elapsed());

@@ -292,7 +292,7 @@ pub fn agglomerate_exec<M: Merger + Sync>(
     if completed {
         let mut heap: BinaryHeap<Candidate> = BinaryHeap::new();
         for (_, local) in chunks {
-            // distinct-lint: allow(D002, D101, reason="stats.stopped was checked above; a complete run leaves every chunk Some by the exec pool contract")
+            // distinct-lint: allow(D101, reason="stats.stopped was checked above; a complete run leaves every chunk Some by the exec pool contract")
             heap.extend(local.expect("complete seeding has no refused chunks"));
         }
         let mut g = |units: u64| guard(units);
@@ -326,7 +326,6 @@ impl MatrixMerger {
     ///
     /// # Panics
     /// Panics if the matrix is not square.
-    // distinct-lint: allow(D005, reason="O(n) squareness validation at construction; agglomerate charges the budget per merge")
     pub fn new(matrix: Vec<Vec<f64>>, linkage: Linkage) -> Self {
         let n = matrix.len();
         for row in &matrix {
@@ -351,7 +350,6 @@ impl Merger for MatrixMerger {
         self.sims[a][b]
     }
 
-    // distinct-lint: allow(D005, reason="Merger callback doing O(live clusters) work; merge_down charges the budget once per merge")
     fn merged(&mut self, a: usize, b: usize, into: usize, size_a: usize, size_b: usize) {
         debug_assert_eq!(into, self.sims.len());
         // Row/column for the new cluster, combined per the linkage rule.

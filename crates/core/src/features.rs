@@ -56,7 +56,7 @@ pub fn build_profile(
     reference: TupleRef,
 ) -> Profile {
     build_profile_guarded(graph, catalog, paths, reference, &mut |_| true)
-        // distinct-lint: allow(D002, reason="guard is the constant true closure above, so profiling can never be abandoned")
+        // distinct-lint: allow(D101, reason="guard is the constant true closure above, so profiling can never be abandoned")
         .expect("permissive guard never stops profiling")
 }
 

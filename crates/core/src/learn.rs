@@ -96,7 +96,6 @@ impl LearnedModel {
 /// from featurized training pairs. Rows are pushed **in pair order**, so
 /// the datasets — and everything the SMO optimizer derives from them — are
 /// independent of how many threads featurized the pairs.
-// distinct-lint: allow(D005, reason="bounded by the training-pair cap; train_weights_guarded charges the budget in the SMO loop that follows")
 pub fn assemble_datasets(
     features: &[crate::training::PairFeatures],
 ) -> Result<(Dataset, Dataset), SvmError> {
@@ -159,7 +158,7 @@ fn train_one(
     };
     let kernel_model = train_smo_guarded(&scaled, Kernel::Linear, &cfg, guard)?;
     let accuracy = kernel_model.accuracy(&scaled);
-    // distinct-lint: allow(D002, D101, reason="kernel is Kernel::Linear two lines up, and to_linear is total for linear kernels")
+    // distinct-lint: allow(D101, reason="kernel is Kernel::Linear two lines up, and to_linear is total for linear kernels")
     let linear = kernel_model.to_linear().expect("linear kernel collapses");
     // Undo the global scale (a uniform rescaling: relative weights are
     // unchanged, and they are normalized downstream anyway).

@@ -415,7 +415,6 @@ impl Distinct {
     /// suffices); profiles computed here land in the shared cache, making
     /// this also a deterministic cache-warming primitive for
     /// warm-vs-cold differential runs.
-    // distinct-lint: allow(D005, reason="documented sequential diagnostic surface outside resolve()'s budget scope")
     pub fn stage_probe(&self, refs: &[TupleRef]) -> crate::probe::StageProbe {
         let profiles: Vec<Arc<Profile>> = refs.iter().map(|&r| self.profile(r)).collect();
         let (merger, _, _) = DistinctMerger::from_profiles_exec(
@@ -426,7 +425,7 @@ impl Distinct {
             &exec::Executor::sequential(),
             &|_| true,
         );
-        // distinct-lint: allow(D002, reason="guard is the constant true closure above, so the build can never be refused")
+        // distinct-lint: allow(D101, reason="guard is the constant true closure above, so the build can never be refused")
         let merger = merger.expect("permissive guard never stops the matrix build");
         let n = refs.len();
         let mut resemblance = vec![vec![0.0; n]; n];

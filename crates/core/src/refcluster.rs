@@ -139,7 +139,7 @@ impl DistinctMerger {
             &|_| true,
         )
         .0
-        // distinct-lint: allow(D002, reason="guard is the constant true closure above, so the build can never be refused")
+        // distinct-lint: allow(D101, reason="guard is the constant true closure above, so the build can never be refused")
         .expect("permissive guard never stops the matrix build")
     }
 
@@ -283,7 +283,7 @@ impl DistinctMerger {
         let mut resem = vec![vec![0.0; n]; n];
         let mut dwalk = vec![vec![0.0; n]; n];
         for (range, vals) in chunks {
-            // distinct-lint: allow(D002, D101, reason="stats.stopped was checked above; a complete run leaves every chunk Some by the exec pool contract")
+            // distinct-lint: allow(D101, reason="stats.stopped was checked above; a complete run leaves every chunk Some by the exec pool contract")
             let (vals, chunk_exact) = vals.expect("complete run has no refused chunks");
             exact_units += chunk_exact;
             for (k, (r, dij, dji)) in range.zip(vals) {
@@ -494,7 +494,6 @@ impl Merger for DistinctMerger {
         }
     }
 
-    // distinct-lint: allow(D005, reason="Merger callback doing O(live clusters) row sums; the clustering driver charges the budget once per merge")
     fn merged(&mut self, a: usize, b: usize, into: usize, size_a: usize, size_b: usize) {
         debug_assert_eq!(into, self.resem.len());
         let total = into + 1;

@@ -120,7 +120,6 @@ fn split_name(name: &str) -> Option<(&str, &str)> {
 /// `ref_relation.ref_attr` must be a foreign key to the relation holding
 /// named objects (e.g. `Publish.author -> Authors`); names are that target
 /// relation's key values.
-// distinct-lint: allow(D005, reason="bounded by TrainingConfig pair caps; train_with checks RunControl at the stage boundary")
 pub fn build_training_set(
     catalog: &Catalog,
     ref_relation: &str,

@@ -164,9 +164,9 @@ impl WorldConfig {
             let assigned: usize = out.iter().sum();
             // Push any remainder (or deficit) onto the largest entity.
             if assigned <= total {
-                out[0] += total - assigned; // distinct-lint: allow(D002, reason="entities >= 1 is asserted at entry, so out has a first element; dev-only generator crate")
+                out[0] += total - assigned;
             } else {
-                out[0] -= assigned - total; // distinct-lint: allow(D002, reason="entities >= 1 is asserted at entry, so out has a first element; dev-only generator crate")
+                out[0] -= assigned - total;
             }
             out
         }

@@ -220,8 +220,8 @@ pub(crate) fn emit_with_proceedings(
     }
 
     c.finalize(true)?;
-    let publish = c.relation_id("Publish").expect("Publish registered"); // distinct-lint: allow(D002, reason="Publish was registered by this same function a page up; dev-only generator crate")
-    let authors = c.relation_id("Authors").expect("Authors registered"); // distinct-lint: allow(D002, reason="Authors was registered by this same function a page up; dev-only generator crate")
+    let publish = c.relation_id("Publish").expect("Publish registered");
+    let authors = c.relation_id("Authors").expect("Authors registered");
     Ok(DblpDataset {
         catalog: c,
         truths,
@@ -330,8 +330,8 @@ pub fn stream_to_catalog(config: &WorldConfig) -> Result<DblpDataset, StoreError
     }
 
     c.finalize(true)?;
-    let publish = c.relation_id("Publish").expect("Publish registered"); // distinct-lint: allow(D002, reason="Publish was registered by this same function a page up; dev-only generator crate")
-    let authors = c.relation_id("Authors").expect("Authors registered"); // distinct-lint: allow(D002, reason="Authors was registered by this same function a page up; dev-only generator crate")
+    let publish = c.relation_id("Publish").expect("Publish registered");
+    let authors = c.relation_id("Authors").expect("Authors registered");
     Ok(DblpDataset {
         catalog: c,
         truths,

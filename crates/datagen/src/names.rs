@@ -59,7 +59,7 @@ impl Zipf {
     /// Probability of rank `k`.
     pub fn prob(&self, k: usize) -> f64 {
         if k == 0 {
-            self.cdf[0] // distinct-lint: allow(D002, reason="the constructor builds cdf with one entry per rank and rejects empty pools; dev-only generator crate")
+            self.cdf[0]
         } else {
             self.cdf[k] - self.cdf[k - 1]
         }

@@ -196,7 +196,6 @@ pub fn shuffle_log(log: &[LogTuple], seed: u64) -> Vec<LogTuple> {
         if t.0 == "Publications" || blocks.is_empty() {
             blocks.push(Vec::new());
         }
-        // distinct-lint: allow(D002, reason="a block was pushed on the previous line whenever blocks was empty")
         blocks.last_mut().expect("block exists").push(t.clone());
     }
     let mut state = seed | 1;

@@ -275,7 +275,7 @@ impl WorldStream {
     pub fn new(config: WorldConfig) -> WorldStream {
         config
             .validate()
-            .unwrap_or_else(|e| panic!("invalid WorldConfig: {e}")); // distinct-lint: allow(D002, reason="failing fast on an invalid test config is the generator's contract; dev-only crate, never on the resolve path")
+            .unwrap_or_else(|e| panic!("invalid WorldConfig: {e}"));
         let mut rng = StdRng::seed_from_u64(config.seed);
 
         // --- Venues & publishers -----------------------------------------

@@ -251,7 +251,6 @@ impl Executor {
     {
         let (out, _) = self.par_map_guarded(items, |i, item| Some(f(i, item)), || false);
         out.into_iter()
-            // distinct-lint: allow(D002, reason="stop callback is the constant false closure above, so no item can be skipped")
             .map(|v| v.expect("infallible map never skips an item"))
             .collect()
     }

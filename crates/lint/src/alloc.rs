@@ -26,7 +26,7 @@
 //!   `// distinct-lint: scratch(<reuse-discipline>)` declaration naming
 //!   how the structure is reused across calls and why reuse preserves
 //!   bit-identical output. Findings are unbaselineable
-//!   ([`crate::fix_baseline_mode`] refuses them) and the registry is
+//!   ([`crate::fix_baseline`] refuses them) and the registry is
 //!   exported by `distinct-lint facts --emit json`.
 //! - **D113 unbounded growth** — a `self.<field>` collection grown
 //!   (`push`/`insert`/`extend`/...) on the spine while *no* library code

@@ -201,32 +201,32 @@ mod tests {
     #[test]
     fn roundtrip() {
         let b = Baseline::from_findings(&[
-            f(LintId::D002, "a.rs", 1),
-            f(LintId::D002, "a.rs", 2),
-            f(LintId::D005, "b.rs", 3),
+            f(LintId::D101, "a.rs", 1),
+            f(LintId::D101, "a.rs", 2),
+            f(LintId::D104, "b.rs", 3),
         ]);
         let text = b.render();
         let b2 = Baseline::parse(&text).unwrap();
         assert_eq!(b, b2);
-        assert_eq!(b2.entries[&(LintId::D002, "a.rs".into())], 2);
+        assert_eq!(b2.entries[&(LintId::D101, "a.rs".into())], 2);
     }
 
     #[test]
     fn exact_counts_both_directions() {
-        let b = Baseline::from_findings(&[f(LintId::D002, "a.rs", 1), f(LintId::D002, "a.rs", 2)]);
+        let b = Baseline::from_findings(&[f(LintId::D101, "a.rs", 1), f(LintId::D101, "a.rs", 2)]);
         // Matching count: clean.
         assert!(b
-            .diff(&[f(LintId::D002, "a.rs", 1), f(LintId::D002, "a.rs", 5)])
+            .diff(&[f(LintId::D101, "a.rs", 1), f(LintId::D101, "a.rs", 5)])
             .is_clean());
         // One extra: new debt, and only the excess is reported.
         let d = b.diff(&[
-            f(LintId::D002, "a.rs", 1),
-            f(LintId::D002, "a.rs", 2),
-            f(LintId::D002, "a.rs", 3),
+            f(LintId::D101, "a.rs", 1),
+            f(LintId::D101, "a.rs", 2),
+            f(LintId::D101, "a.rs", 3),
         ]);
         assert_eq!(d.new_debt.len(), 1);
         // One fewer: stale.
-        let d = b.diff(&[f(LintId::D002, "a.rs", 1)]);
+        let d = b.diff(&[f(LintId::D101, "a.rs", 1)]);
         assert!(d.new_debt.is_empty());
         assert_eq!(d.stale.len(), 1);
         assert_eq!(d.stale[0].2, 2);
@@ -236,7 +236,7 @@ mod tests {
     #[test]
     fn unbaselined_finding_is_new_debt() {
         let b = Baseline::default();
-        let d = b.diff(&[f(LintId::D001, "x.rs", 7)]);
+        let d = b.diff(&[f(LintId::D107, "x.rs", 7)]);
         assert_eq!(d.new_debt.len(), 1);
     }
 
@@ -255,11 +255,11 @@ mod tests {
         // walk) thrown in: the report order must still be (file, line, id).
         let b = Baseline::default();
         let d = b.diff(&[
-            f(LintId::D005, "b.rs", 9),
+            f(LintId::D104, "b.rs", 9),
             f(LintId::D000, "b.rs", 2),
-            f(LintId::D002, "a.rs", 30),
-            f(LintId::D001, "a.rs", 30),
-            f(LintId::D002, "a.rs", 4),
+            f(LintId::D107, "a.rs", 30),
+            f(LintId::D101, "a.rs", 30),
+            f(LintId::D101, "a.rs", 4),
         ]);
         let order: Vec<(String, u32, LintId)> = d
             .new_debt
@@ -269,24 +269,24 @@ mod tests {
         assert_eq!(
             order,
             vec![
-                ("a.rs".into(), 4, LintId::D002),
-                ("a.rs".into(), 30, LintId::D001),
-                ("a.rs".into(), 30, LintId::D002),
+                ("a.rs".into(), 4, LintId::D101),
+                ("a.rs".into(), 30, LintId::D101),
+                ("a.rs".into(), 30, LintId::D107),
                 ("b.rs".into(), 2, LintId::D000),
-                ("b.rs".into(), 9, LintId::D005),
+                ("b.rs".into(), 9, LintId::D104),
             ]
         );
     }
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(Baseline::parse("id = \"D001\"").is_err()); // key outside table
+        assert!(Baseline::parse("id = \"D003\"").is_err()); // key outside table
         assert!(Baseline::parse("[[entry]]\nid = \"D999\"\nfile = \"a\"\ncount = 1").is_err());
-        assert!(Baseline::parse("[[entry]]\nid = \"D001\"\nfile = \"a\"\ncount = 0").is_err());
-        assert!(Baseline::parse("[[entry]]\nid = \"D001\"\nfile = \"a\"").is_err());
+        assert!(Baseline::parse("[[entry]]\nid = \"D003\"\nfile = \"a\"\ncount = 0").is_err());
+        assert!(Baseline::parse("[[entry]]\nid = \"D003\"\nfile = \"a\"").is_err());
         assert!(Baseline::parse("[[entry]]\nwhat = 3").is_err());
-        let dup = "[[entry]]\nid = \"D001\"\nfile = \"a\"\ncount = 1\n\
-                   [[entry]]\nid = \"D001\"\nfile = \"a\"\ncount = 2";
+        let dup = "[[entry]]\nid = \"D003\"\nfile = \"a\"\ncount = 1\n\
+                   [[entry]]\nid = \"D003\"\nfile = \"a\"\ncount = 2";
         assert!(Baseline::parse(dup).is_err());
     }
 }

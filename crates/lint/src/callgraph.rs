@@ -1,7 +1,8 @@
 //! The workspace call graph and the reachability lints built on it:
-//! D101 (panic paths reachable from the pipeline entry points) and D104
-//! (loops on charge-free call paths). Also serves the `call-graph`
-//! subcommand (DOT export, `--reach` queries).
+//! D101 (panic paths reachable from any public `crates/core` function)
+//! and D104 (loops on charge-free call paths from the pipeline entry
+//! points). Also serves the `call-graph` subcommand (DOT export,
+//! `--reach` queries).
 
 use crate::catalog::{Finding, LintId};
 use crate::symbols::Workspace;
@@ -38,21 +39,27 @@ impl CallGraph {
         CallGraph { ws, edges }
     }
 
-    /// The semantic entry points: public non-test `resolve*`/`train*`
-    /// functions defined in `crates/core`.
-    pub fn entry_points(&self) -> Vec<usize> {
+    /// The library's API surface, D101's roots: every public non-test
+    /// function defined in `crates/core`.
+    pub fn public_core_fns(&self) -> Vec<usize> {
         self.ws
             .fns
             .iter()
             .enumerate()
-            .filter(|(_, f)| {
-                f.crate_dir == "core"
-                    && f.is_pub
-                    && !f.is_test
-                    && (f.name.starts_with("resolve") || f.name.starts_with("train"))
-            })
+            .filter(|(_, f)| f.crate_dir == "core" && f.is_pub && !f.is_test)
             .map(|(i, _)| i)
             .collect()
+    }
+
+    /// The pipeline entry points, where D104 and the spine passes root
+    /// their walks: the public core `resolve*`/`train*` functions.
+    pub fn entry_points(&self) -> Vec<usize> {
+        let mut roots = self.public_core_fns();
+        roots.retain(|&i| {
+            let name = &self.ws.fns[i].name;
+            name.starts_with("resolve") || name.starts_with("train")
+        });
+        roots
     }
 
     /// BFS from `roots`; `parent[i] = Some(p)` records the tree edge used
@@ -101,10 +108,10 @@ impl CallGraph {
         }
     }
 
-    /// D101: every panic site in a function reachable from the entry
-    /// points is a finding naming one concrete call chain.
+    /// D101: every panic site in a function reachable from a public core
+    /// function is a finding naming one concrete call chain.
     pub fn d101_panic_reach(&self) -> Vec<Finding> {
-        let roots = self.entry_points();
+        let roots = self.public_core_fns();
         let parent = self.reach(&roots, |_| true);
         let mut out = Vec::new();
         for (i, f) in self.ws.fns.iter().enumerate() {

@@ -3,20 +3,18 @@
 use std::fmt;
 
 /// Lint identifiers. `D000` is the meta-lint about the suppression
-/// machinery itself; `D001`–`D007` and `D105` guard the project
+/// machinery itself; `D003`–`D007` and `D105` guard the project
 /// invariants with per-file token scans, and `D101`–`D104` plus the
 /// dataflow passes `D106`–`D109` and the allocation/copy-discipline
 /// passes `D110`–`D113` are the interprocedural (call-graph-backed)
-/// lints run by `check --semantic`.
+/// lints. `check` runs them all. The retired IDs D001, D002 and D005
+/// parse as unknown, so a suppression naming one is a D000.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)] // the catalog below documents each variant
 pub enum LintId {
     D000,
-    D001,
-    D002,
     D003,
     D004,
-    D005,
     D006,
     D007,
     D101,
@@ -46,13 +44,10 @@ pub enum Severity {
 
 impl LintId {
     /// All registered lints, in ID order.
-    pub const ALL: [LintId; 21] = [
+    pub const ALL: [LintId; 18] = [
         LintId::D000,
-        LintId::D001,
-        LintId::D002,
         LintId::D003,
         LintId::D004,
-        LintId::D005,
         LintId::D006,
         LintId::D007,
         LintId::D101,
@@ -70,7 +65,7 @@ impl LintId {
         LintId::D113,
     ];
 
-    /// Parse `"D001"` (case-insensitive) into an ID.
+    /// Parse `"D003"` (case-insensitive) into an ID.
     pub fn parse(s: &str) -> Option<LintId> {
         let s = s.trim().to_ascii_uppercase();
         LintId::ALL.iter().copied().find(|id| id.name() == s)
@@ -80,11 +75,8 @@ impl LintId {
     pub fn name(self) -> &'static str {
         match self {
             LintId::D000 => "D000",
-            LintId::D001 => "D001",
-            LintId::D002 => "D002",
             LintId::D003 => "D003",
             LintId::D004 => "D004",
-            LintId::D005 => "D005",
             LintId::D006 => "D006",
             LintId::D007 => "D007",
             LintId::D101 => "D101",
@@ -107,11 +99,8 @@ impl LintId {
     pub fn severity(self) -> Severity {
         match self {
             LintId::D000 => Severity::Deny,
-            LintId::D001 => Severity::Deny,
-            LintId::D002 => Severity::Warn,
             LintId::D003 => Severity::Deny,
             LintId::D004 => Severity::Deny,
-            LintId::D005 => Severity::Warn,
             LintId::D006 => Severity::Warn,
             LintId::D007 => Severity::Warn,
             LintId::D101 => Severity::Deny,
@@ -134,14 +123,11 @@ impl LintId {
     pub fn title(self) -> &'static str {
         match self {
             LintId::D000 => "malformed, reason-less, or unused lint suppression",
-            LintId::D001 => "hash-order iteration feeding float accumulation or ordered output",
-            LintId::D002 => "panic path (unwrap/expect/panic!/literal index) in library code",
             LintId::D003 => "raw thread or channel construction outside crates/exec",
             LintId::D004 => "direct wall-clock read outside RunControl internals",
-            LintId::D005 => "loop in a budget-scoped hot path without a guard",
             LintId::D006 => "lossy float cast or f32 reduction in numeric code",
             LintId::D007 => "public API item without a doc comment in crates/core",
-            LintId::D101 => "panic path reachable from resolve()/train() on the call graph",
+            LintId::D101 => "panic path reachable from a public crates/core function on the call graph",
             LintId::D102 => "unsanitized probability arithmetic flowing to a cluster sink",
             LintId::D103 => "inconsistent lock order or lock held across a channel send",
             LintId::D104 => "loop on a charge-free call path from a pipeline entry point",
@@ -169,26 +155,6 @@ impl LintId {
                  Anything else is noise that hides real debt, so the analyzer \
                  rejects it."
             }
-            LintId::D001 => {
-                "DISTINCT promises bit-identical output at any thread count. \
-                 Iterating a HashMap/HashSet/FxHashMap while summing floats or \
-                 appending to ordered output makes the result depend on hash \
-                 iteration order — float addition is not associative, so the \
-                 weighted-Jaccard and walk-probability pillars silently drift \
-                 when the map's insertion history changes. Fix: iterate in \
-                 sorted key order (collect + sort, or a BTreeMap), as \
-                 crates/oracle does, or show the accumulation is order-free \
-                 (integer counters, max/min) in an allow reason."
-            }
-            LintId::D002 => {
-                "PR 1's graceful-degradation contract: library code reachable \
-                 from resolve()/train_with() must surface failures as typed \
-                 errors or Degraded reports, never panics. unwrap(), expect(), \
-                 panic!(), unreachable!() and indexing by integer literal are \
-                 all panic paths. Fix: propagate a DistinctError / StoreError, \
-                 return Option, or document the proven invariant in an allow \
-                 reason. Test code is exempt."
-            }
             LintId::D003 => {
                 "All parallelism goes through crates/exec's ordered-commit \
                  pool: it is the only code that knows how to keep output \
@@ -205,15 +171,6 @@ impl LintId {
                  make timing-dependent control flow that no test can pin down. \
                  Reading the clock for *reporting* (ExecReport wall times, the \
                  eval timing harness) is fine — say so in an allow reason."
-            }
-            LintId::D005 => {
-                "Every hot loop must charge the shared work budget, or a \
-                 budget/deadline/cancellation can only trip between stages and \
-                 the resilience contract (PR 1) silently weakens as code moves. \
-                 In the designated hot-path files, a function that loops must \
-                 either accept a guard parameter or call a guard/charge/status \
-                 control hook. Bounded per-pair helpers charged by their \
-                 caller at pair granularity should say so in an allow reason."
             }
             LintId::D006 => {
                 "The numeric pillars accumulate in f64 end to end; an `as f32` \
@@ -233,16 +190,18 @@ impl LintId {
                  gaps rustc misses."
             }
             LintId::D101 => {
-                "The semantic refinement of D002: a panic site (unwrap/expect/\
-                 panic!/literal index) in library code is only a defect when \
-                 the workspace call graph can actually reach it from a public \
-                 `Distinct::resolve*`/`train*` entry point — those are the \
-                 paths PR 1's graceful-degradation contract protects. The \
-                 resolver over-approximates (method calls match by name, \
-                 constrained to the caller's normal-dependency closure), so a \
-                 D101 finding means `no proof of unreachability`, and every \
-                 finding names one concrete call chain from the entry point. \
-                 Fix: return a typed error along that chain, or prove the \
+                "No public entry point may panic because of bad input; it \
+                 returns a typed error or a Degraded report instead. A panic \
+                 site (unwrap/expect/panic!/literal index) in library code is \
+                 a finding when the workspace call graph can reach it from any \
+                 public non-test function of crates/core, the library's API \
+                 surface. Panic sites no such function reaches (the dev-only \
+                 generators, the test oracle) are not. The resolver \
+                 over-approximates (method calls match by name, constrained \
+                 to the caller's normal-dependency closure), so a D101 \
+                 finding means `no proof of unreachability`, and every \
+                 finding names one concrete call chain from a public core \
+                 function. Fix: return a typed error along that chain, or prove the \
                  invariant in an allow(D101) reason."
             }
             LintId::D102 => {
@@ -273,13 +232,12 @@ impl LintId {
                  sending."
             }
             LintId::D104 => {
-                "The semantic refinement of D005: a loop only starves \
-                 cancellation if some call path from a public resolve*/train* \
-                 entry point reaches it without ever passing a budget charge \
-                 (a guard parameter, or a guard/shared_guard/charge/status \
-                 call). Leaf helpers whose every caller charges per item are \
-                 proven safe by the graph instead of needing a syntactic \
-                 allow. A finding names the charge-free chain. Fix: charge \
+                "A loop only starves cancellation if some call path from a \
+                 public resolve*/train* entry point reaches it without ever \
+                 passing a budget charge (a guard parameter, or a guard/\
+                 shared_guard/charge/status call). Leaf helpers whose every caller charges per item are \
+                 proven safe by the graph, so no hand-kept list of hot files \
+                 is needed. A finding names the charge-free chain. Fix: charge \
                  the budget somewhere on that chain, or allow(D104) with the \
                  proof if the path is infeasible."
             }
@@ -316,10 +274,8 @@ impl LintId {
                  statement), or `drop(guard)` first."
             }
             LintId::D107 => {
-                "The semantic refinement of D001 (which it retires under \
-                 --semantic): bit-identical output at any thread count dies \
-                 the moment a value derived from an unordered source — \
-                 HashMap/HashSet iteration with no sort or ordered-commit \
+                "Bit-identical output at any thread count dies the moment a \
+                 value derived from an unordered source — HashMap/HashSet iteration with no sort or ordered-commit \
                  sink, a thread-count read (`auto_threads`, \
                  `available_parallelism`, `.threads()`), or chunk-arrival \
                  order (`recv()` results) — flows into f64 accumulation, an \
@@ -379,11 +335,14 @@ impl LintId {
                  no in-place mutator call, no move into a struct, return, or \
                  call that takes it by value — the copy is pure allocator \
                  churn and a borrow of the original would have type-checked. \
-                 On profile and neighbor-set values (weighted sets run to \
-                 thousands of entries) such copies dominate resolve-time \
-                 allocation. Fix: borrow the original (`&x`), or, when the \
-                 clone feeds an API that genuinely needs ownership the pass \
-                 cannot see, say so in an allow(D111) reason."
+                 On the resolve spine the large values are profiles (one \
+                 buffer of sorted per-path columns, thousands of entries for \
+                 a prolific author) and the similarity tables built from \
+                 them, so a read-only copy of either costs a full-size \
+                 allocation on every call. Fix: borrow the original (`&x`), \
+                 or, when the clone feeds an API that genuinely needs \
+                 ownership the pass cannot see, say so in an allow(D111) \
+                 reason."
             }
             LintId::D112 => {
                 "The ROADMAP names arenas-rebuilt-per-call as the remaining \
@@ -409,8 +368,9 @@ impl LintId {
                  (`push`/`insert`/`extend`/`append`) while *no* path in the \
                  workspace ever clears, evicts, truncates, drains, or \
                  removes from it is a memory leak with a QPS fuse — the \
-                 profile cache and name cache only stay bounded because \
-                 eviction is wired into the update path. The pass collects \
+                 profile cache, the engine's one piece of incremental state, \
+                 only stays bounded because apply_updates evicts the profiles \
+                 of every dirtied reference. The pass collects \
                  growth sites on `self.<field>` in spine-reachable library \
                  code and flags fields with growth but no shrink site \
                  anywhere in non-test code. Fix: wire eviction/clearing into \

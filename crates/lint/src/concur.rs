@@ -13,8 +13,7 @@
 //!   iteration, thread-count reads, or channel-arrival order must not
 //!   reach f64 accumulation, `ExecReport`/`ParStats` counters, checkpoint
 //!   writes, or clustering inputs. A `.sort*()` on the carrying binding
-//!   kills the taint (the ordered-commit discipline). Subsumes the
-//!   syntactic D001 scan under `--semantic`.
+//!   kills the taint (the ordered-commit discipline).
 //! - **D108 shared-state registry** — every interior-mutability cell
 //!   (Mutex/RwLock/atomics/Cell/RefCell) declared as a field or static
 //!   and reachable from the resolve/train/apply_updates spine must carry

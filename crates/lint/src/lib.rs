@@ -3,23 +3,20 @@
 //! coverage, exec-pool ownership of parallelism, f64 numerics, core API
 //! docs).
 //!
-//! The pipeline is: discover files ([`workspace`]), lex them ([`lexer`]),
-//! build per-file context ([`model`]), run the passes ([`passes`]), apply
-//! inline suppressions ([`suppress`]), then resolve what is left against
-//! the checked-in debt baseline ([`baseline`]). The [`graph`] module maps
-//! the crate topology for the `graph` subcommand and the layering
-//! self-checks.
-//!
-//! `check --semantic` swaps the per-file panic (D002), loop-guard
-//! (D005), and hash-order (D001) scans for their interprocedural
-//! refinements: [`parse`] recovers function items from the token stream,
-//! [`symbols`] resolves call sites across crates, [`callgraph`] runs
-//! reachability (D101/D104), [`taint`]/[`locks`] add probability-range
-//! (D102) and lock-order (D103) analyses on the same graph, [`concur`]
-//! runs the determinism/concurrency dataflow passes (D106–D109) on
-//! statement-level CFGs ([`cfg`]) with a forward may/must framework
-//! ([`dataflow`]), and [`alloc`] runs the allocation/copy-discipline
-//! passes (D110–D113) on the same CFG + dataflow substrate.
+//! `check` runs one pipeline: discover files ([`workspace`]), lex them
+//! ([`lexer`]), build per-file context ([`model`]), recover function
+//! items from the token stream ([`parse`]), resolve call sites across
+//! crates ([`symbols`]) into a call graph ([`callgraph`]), run the
+//! per-file passes ([`passes`]) and the call-graph passes, apply inline
+//! suppressions ([`suppress`]), then resolve what is left against the
+//! checked-in debt baseline ([`baseline`]). The call-graph passes are
+//! reachability (D101/D104), probability-range (D102, [`taint`]) and
+//! lock-order (D103, [`locks`]) analyses, the determinism/concurrency
+//! dataflow passes (D106–D109, [`concur`]) on statement-level CFGs
+//! ([`cfg`]) with a forward may/must framework ([`dataflow`]), and the
+//! allocation/copy-discipline passes (D110–D113, [`alloc`]) on the same
+//! substrate. The [`graph`] module maps the crate topology for the
+//! `graph` subcommand, the call resolver and the layering self-checks.
 
 pub mod alloc;
 pub mod baseline;
@@ -40,48 +37,11 @@ pub mod taint;
 pub mod workspace;
 
 use baseline::{Baseline, Diff};
+use callgraph::CallGraph;
 use catalog::{Finding, LintId};
+use model::FileCtx;
 use std::collections::BTreeMap;
 use std::path::Path;
-
-/// Which analysis the run performs. The two modes share D000/D003/D004/
-/// D006/D007; syntactic mode adds the per-file D001/D002/D005 scans,
-/// semantic mode replaces them with the call-graph lints D101–D104 and
-/// the dataflow passes D106–D113 (D107 subsumes D001 the way D101/D104
-/// subsume D002/D005).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Per-file token scans only (`check`).
-    Syntactic,
-    /// Per-file scans minus D001/D002/D005, plus the interprocedural
-    /// passes (`check --semantic`).
-    Semantic,
-}
-
-impl Mode {
-    /// Whether `id` can fire in this mode. Baseline entries and
-    /// suppressions naming only inactive lints are ignored, not stale.
-    pub fn is_active(self, id: LintId) -> bool {
-        match self {
-            Mode::Syntactic => !matches!(
-                id,
-                LintId::D101
-                    | LintId::D102
-                    | LintId::D103
-                    | LintId::D104
-                    | LintId::D106
-                    | LintId::D107
-                    | LintId::D108
-                    | LintId::D109
-                    | LintId::D110
-                    | LintId::D111
-                    | LintId::D112
-                    | LintId::D113
-            ),
-            Mode::Semantic => !matches!(id, LintId::D001 | LintId::D002 | LintId::D005),
-        }
-    }
-}
 
 /// Result of analyzing the whole workspace (before baseline resolution).
 #[derive(Debug)]
@@ -95,62 +55,44 @@ pub struct Analysis {
     pub suppressions_used: usize,
 }
 
-/// Lex, model, lint, and suppress every analyzable file under `root`
-/// with the syntactic passes.
-pub fn analyze(root: &Path) -> Result<Analysis, String> {
-    analyze_mode(root, Mode::Syntactic)
+/// Every analyzable file under `root` and the call graph resolved over
+/// them: what `check`, `call-graph` and `facts` all start from.
+pub fn load(root: &Path) -> Result<(Vec<FileCtx>, CallGraph), String> {
+    let ctxs = workspace::collect_files(root)?;
+    let ws = symbols::Workspace::from_workspace(root, &ctxs).map_err(|e| e.to_string())?;
+    Ok((ctxs, CallGraph::build(ws)))
 }
 
-/// Lex, model, lint, and suppress every analyzable file under `root` in
-/// the given mode.
-pub fn analyze_mode(root: &Path, mode: Mode) -> Result<Analysis, String> {
-    let ctxs = workspace::collect_files(root)?;
-    // Semantic findings land on concrete files/lines, so they flow
-    // through the same per-file suppression machinery as everything else.
-    let mut semantic: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
-    if mode == Mode::Semantic {
-        let ws = symbols::Workspace::from_workspace(root, &ctxs).map_err(|e| e.to_string())?;
-        let graph = callgraph::CallGraph::build(ws);
-        for f in callgraph::run_semantic(&graph, &ctxs) {
-            semantic.entry(f.file.clone()).or_default().push(f);
-        }
+/// Run the per-file and call-graph passes over `ctxs` and apply each
+/// file's suppressions. Returns the findings sorted by (file, line, id)
+/// and the number of suppressions that matched.
+pub fn lint_files(graph: &CallGraph, ctxs: &[FileCtx]) -> (Vec<Finding>, usize) {
+    // Call-graph findings land on concrete files and lines, so they flow
+    // through the same per-file suppressions as everything else.
+    let mut by_file: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
+    for f in callgraph::run_semantic(graph, ctxs) {
+        by_file.entry(f.file.clone()).or_default().push(f);
     }
     let mut findings = Vec::new();
-    let mut suppressions_used = 0usize;
-    let files = ctxs.len();
-    for ctx in &ctxs {
-        let (mut sups, malformed) = suppress::collect(ctx);
-        findings.extend(malformed);
-        let mut raw = match mode {
-            Mode::Syntactic => passes::run_all(ctx),
-            Mode::Semantic => passes::run_semantic_file(ctx),
-        };
-        raw.extend(semantic.remove(&ctx.path).unwrap_or_default());
-        let kept = suppress::apply(raw, &mut sups);
+    let mut suppressions_used = 0;
+    for ctx in ctxs {
+        let mut raw = passes::run_file(ctx);
+        raw.extend(by_file.remove(&ctx.path).unwrap_or_default());
+        let (kept, used) = suppress::filter(ctx, raw);
         findings.extend(kept);
-        for s in &sups {
-            if s.used {
-                suppressions_used += 1;
-            } else if s.ids.iter().any(|id| mode.is_active(*id)) {
-                findings.push(Finding {
-                    id: LintId::D000,
-                    file: ctx.path.clone(),
-                    line: s.comment_line,
-                    message: format!(
-                        "suppression for {} matches no finding on line {}",
-                        s.ids.iter().map(|i| i.name()).collect::<Vec<_>>().join("/"),
-                        s.target_line
-                    ),
-                });
-            }
-            // A suppression naming only lints this mode never runs (e.g.
-            // allow(D002) under --semantic) is neither used nor unused.
-        }
+        suppressions_used += used;
     }
     findings.sort_by(|a, b| (&a.file, a.line, a.id).cmp(&(&b.file, b.line, b.id)));
+    (findings, suppressions_used)
+}
+
+/// Lex, model, lint, and suppress every analyzable file under `root`.
+pub fn analyze(root: &Path) -> Result<Analysis, String> {
+    let (ctxs, graph) = load(root)?;
+    let (findings, suppressions_used) = lint_files(&graph, &ctxs);
     Ok(Analysis {
         findings,
-        files,
+        files: ctxs.len(),
         suppressions_used,
     })
 }
@@ -160,31 +102,17 @@ pub fn analyze_mode(root: &Path, mode: Mode) -> Result<Analysis, String> {
 pub struct CheckOutcome {
     /// The underlying analysis.
     pub analysis: Analysis,
-    /// The baseline that was applied (empty if `lint.toml` is absent),
-    /// restricted to this mode's active lints.
+    /// The baseline that was applied (empty if `lint.toml` is absent).
     pub baseline: Baseline,
     /// Exact-count comparison result; clean means exit 0.
     pub diff: Diff,
 }
 
-/// Run the full syntactic check: analyze, load `lint.toml` (missing file
-/// means an empty baseline), and diff.
+/// Run the full check: analyze, load `lint.toml` (missing file means an
+/// empty baseline), and diff.
 pub fn check(root: &Path) -> Result<CheckOutcome, String> {
-    check_mode(root, Mode::Syntactic)
-}
-
-/// Run the full check in the given mode. Baseline entries for lints the
-/// mode does not run are ignored rather than reported stale.
-pub fn check_mode(root: &Path, mode: Mode) -> Result<CheckOutcome, String> {
-    let analysis = analyze_mode(root, mode)?;
-    let full = load_baseline(root)?;
-    let baseline = Baseline {
-        entries: full
-            .entries
-            .into_iter()
-            .filter(|((id, _), _)| mode.is_active(*id))
-            .collect(),
-    };
+    let analysis = analyze(root)?;
+    let baseline = load_baseline(root)?;
     let diff = baseline.diff(&analysis.findings);
     Ok(CheckOutcome {
         analysis,
@@ -193,21 +121,13 @@ pub fn check_mode(root: &Path, mode: Mode) -> Result<CheckOutcome, String> {
     })
 }
 
-/// Rewrite `lint.toml` to exactly cover the current syntactic findings.
+/// Rewrite `lint.toml` to exactly cover the current findings. Returns the
+/// number of baselined findings. D000s are never baselined and make this
+/// fail, so a broken suppression cannot be ratcheted in; likewise D108
+/// and D112 — an undeclared shared-state cell or scratch structure must
+/// get its `shared(...)`/`scratch(...)` declaration, not a debt entry.
 pub fn fix_baseline(root: &Path) -> Result<usize, String> {
-    fix_baseline_mode(root, Mode::Syntactic)
-}
-
-/// Rewrite `lint.toml` to exactly cover the current findings in `mode`,
-/// preserving existing entries for lints the mode does not run (so a
-/// semantic `--fix-baseline` cannot silently drop syntactic debt, and
-/// vice versa). Returns the number of baselined findings. D000s are never
-/// baselined and make this fail, so a broken suppression cannot be
-/// ratcheted in; likewise D108 and D112 — an undeclared shared-state cell
-/// or scratch structure must get its `shared(...)`/`scratch(...)`
-/// declaration, not a debt entry.
-pub fn fix_baseline_mode(root: &Path, mode: Mode) -> Result<usize, String> {
-    let analysis = analyze_mode(root, mode)?;
+    let analysis = analyze(root)?;
     if let Some(d0) = analysis.findings.iter().find(|f| f.id == LintId::D000) {
         return Err(format!(
             "cannot baseline suppression-hygiene findings; fix them first: {d0}"
@@ -223,12 +143,7 @@ pub fn fix_baseline_mode(root: &Path, mode: Mode) -> Result<usize, String> {
             "cannot baseline an undeclared scratch structure; write its scratch(...) declaration: {d12}"
         ));
     }
-    let mut baseline = Baseline::from_findings(&analysis.findings);
-    for ((id, file), count) in load_baseline(root)?.entries {
-        if !mode.is_active(id) {
-            baseline.entries.insert((id, file), count);
-        }
-    }
+    let baseline = Baseline::from_findings(&analysis.findings);
     // distinct-lint: allow(D105, reason="lint.toml is a dev-tool config, not a durable run artifact; a torn baseline is re-ratcheted, never resumed")
     std::fs::write(root.join("lint.toml"), baseline.render())
         .map_err(|e| format!("write lint.toml: {e}"))?;

@@ -2,7 +2,6 @@
 //!
 //! Commands:
 //!   check                 lint the workspace against lint.toml (exit 1 on debt)
-//!   check --semantic      swap D002/D005 for the call-graph lints D101-D113
 //!   check --fix-baseline  rewrite lint.toml to match current findings
 //!   call-graph            print the resolved call graph as GraphViz DOT
 //!   call-graph --reach F  list everything reachable from functions matching F
@@ -16,7 +15,6 @@
 
 use lint::catalog::{LintId, Severity};
 use lint::graph::CrateGraph;
-use lint::Mode;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -25,7 +23,7 @@ fn main() -> ExitCode {
     let strs: Vec<&str> = args.iter().map(String::as_str).collect();
     match strs.split_first() {
         Some((&"check", rest)) => match parse_check_flags(rest) {
-            Ok((mode, fix, root)) => run_check(mode, fix, root.as_deref()),
+            Ok((fix, root)) => run_check(fix, root.as_deref()),
             Err(e) => usage_error(&e),
         },
         Some((&"call-graph", rest)) => match parse_callgraph_flags(rest) {
@@ -50,12 +48,11 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "\
-distinct-lint: workspace invariant checks (D001..D007 per-file, D101..D113 semantic)
+distinct-lint: workspace invariant checks (D003..D007 and D105 per-file, D101..D113 call-graph)
 
 usage: cargo run -p lint -- <command>
 
   check                 lint the workspace, resolve against lint.toml
-  check --semantic      interprocedural mode: D101..D113 replace D002/D005
   check --fix-baseline  regenerate lint.toml from current findings
   check --root <dir>    lint a different workspace root (used by self-tests)
   call-graph            print the resolved call graph as GraphViz DOT
@@ -94,28 +91,21 @@ fn run_facts(root_override: Option<&str>) -> ExitCode {
         Ok(r) => r,
         Err(e) => return internal(&e),
     };
-    let ctxs = match lint::workspace::collect_files(&root) {
-        Ok(c) => c,
+    let (ctxs, graph) = match lint::load(&root) {
+        Ok(l) => l,
         Err(e) => return internal(&e),
     };
-    let ws = match lint::symbols::Workspace::from_workspace(&root, &ctxs) {
-        Ok(w) => w,
-        Err(e) => return internal(&e.to_string()),
-    };
-    let graph = lint::callgraph::CallGraph::build(ws);
     let facts = lint::concur::collect_facts(&graph, &ctxs);
     print!("{}", lint::concur::facts_json(&facts));
     ExitCode::SUCCESS
 }
 
-fn parse_check_flags(rest: &[&str]) -> Result<(Mode, bool, Option<String>), String> {
-    let mut mode = Mode::Syntactic;
+fn parse_check_flags(rest: &[&str]) -> Result<(bool, Option<String>), String> {
     let mut fix = false;
     let mut root = None;
     let mut it = rest.iter();
     while let Some(&flag) = it.next() {
         match flag {
-            "--semantic" => mode = Mode::Semantic,
             "--fix-baseline" => fix = true,
             "--root" => match it.next() {
                 Some(&r) => root = Some(r.to_string()),
@@ -124,7 +114,7 @@ fn parse_check_flags(rest: &[&str]) -> Result<(Mode, bool, Option<String>), Stri
             other => return Err(format!("unrecognized check flag `{other}`")),
         }
     }
-    Ok((mode, fix, root))
+    Ok((fix, root))
 }
 
 fn parse_callgraph_flags(rest: &[&str]) -> Result<(Option<String>, Option<String>), String> {
@@ -173,13 +163,13 @@ fn resolve_root(root_override: Option<&str>) -> Result<PathBuf, String> {
     }
 }
 
-fn run_check(mode: Mode, fix: bool, root_override: Option<&str>) -> ExitCode {
+fn run_check(fix: bool, root_override: Option<&str>) -> ExitCode {
     let root = match resolve_root(root_override) {
         Ok(r) => r,
         Err(e) => return internal(&e),
     };
     if fix {
-        return match lint::fix_baseline_mode(&root, mode) {
+        return match lint::fix_baseline(&root) {
             Ok(n) => {
                 println!("lint: wrote lint.toml covering {n} finding(s)");
                 ExitCode::SUCCESS
@@ -187,18 +177,14 @@ fn run_check(mode: Mode, fix: bool, root_override: Option<&str>) -> ExitCode {
             Err(e) => internal(&e),
         };
     }
-    let outcome = match lint::check_mode(&root, mode) {
+    let outcome = match lint::check(&root) {
         Ok(o) => o,
         Err(e) => return internal(&e),
-    };
-    let label = match mode {
-        Mode::Syntactic => "lint",
-        Mode::Semantic => "lint[semantic]",
     };
     let baselined = outcome.analysis.findings.len() - outcome.diff.new_debt.len();
     if outcome.diff.is_clean() {
         println!(
-            "{label}: clean — {} files, {} finding(s) baselined, {} suppression(s) in use",
+            "lint: clean — {} files, {} finding(s) baselined, {} suppression(s) in use",
             outcome.analysis.files, baselined, outcome.analysis.suppressions_used
         );
         return ExitCode::SUCCESS;
@@ -217,7 +203,7 @@ fn run_check(mode: Mode, fix: bool, root_override: Option<&str>) -> ExitCode {
         );
     }
     println!(
-        "{label}: FAILED — {} new finding(s), {} stale baseline entr(y/ies) \
+        "lint: FAILED — {} new finding(s), {} stale baseline entr(y/ies) \
          ({} files scanned; use `--explain <ID>` for rationale)",
         outcome.diff.new_debt.len(),
         outcome.diff.stale.len(),
@@ -231,15 +217,10 @@ fn run_callgraph(reach: Option<&str>, root_override: Option<&str>) -> ExitCode {
         Ok(r) => r,
         Err(e) => return internal(&e),
     };
-    let ctxs = match lint::workspace::collect_files(&root) {
-        Ok(c) => c,
+    let graph = match lint::load(&root) {
+        Ok((_, graph)) => graph,
         Err(e) => return internal(&e),
     };
-    let ws = match lint::symbols::Workspace::from_workspace(&root, &ctxs) {
-        Ok(w) => w,
-        Err(e) => return internal(&e.to_string()),
-    };
-    let graph = lint::callgraph::CallGraph::build(ws);
     match reach {
         Some(query) => {
             print!("{}", graph.reach_report(query));

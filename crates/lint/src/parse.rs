@@ -58,7 +58,7 @@ pub struct BodyFacts {
     pub calls: Vec<CallSite>,
     /// Lines of `for`/`while`/`loop` keywords.
     pub loops: Vec<u32>,
-    /// Panic sites `(line, message)` (same scan as D002).
+    /// Panic sites `(line, message)` ([`crate::passes::panic_sites`]).
     pub panics: Vec<(u32, String)>,
     /// Lock acquisitions.
     pub locks: Vec<LockSite>,

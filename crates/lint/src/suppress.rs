@@ -1,4 +1,4 @@
-//! Inline suppressions: `// distinct-lint: allow(D002, reason="...")`.
+//! Inline suppressions: `// distinct-lint: allow(D101, reason="...")`.
 //!
 //! A suppression comment covers findings on its own line; a comment that
 //! stands alone on a line covers the next source line instead. Every
@@ -13,8 +13,11 @@
 //! scratch(<reuse-discipline>)`, declares a reusable arena/cache/scratch
 //! structure's cross-call reuse story for the D112 scratch registry
 //! ([`crate::alloc`]). Both are parsed here (so a malformed body still
-//! surfaces as D000) but collected and validated by the semantic passes,
+//! surfaces as D000) but collected and validated by the call-graph passes,
 //! not by the per-line suppression matcher.
+//!
+//! [`filter`] is the one place the suppression rule is applied; `check`
+//! and the fixture harnesses all go through it.
 
 use crate::catalog::{Finding, LintId};
 use crate::lexer::TokKind;
@@ -22,22 +25,47 @@ use crate::model::FileCtx;
 
 /// One parsed suppression comment.
 #[derive(Debug, Clone)]
-pub struct Suppression {
+struct Suppression {
     /// Lints this comment allows.
-    pub ids: Vec<LintId>,
-    /// The mandatory justification.
-    pub reason: String,
+    ids: Vec<LintId>,
     /// Line the comment sits on.
-    pub comment_line: u32,
+    comment_line: u32,
     /// Line whose findings it covers.
-    pub target_line: u32,
-    /// Whether any finding was actually suppressed (filled by the driver).
-    pub used: bool,
+    target_line: u32,
+    /// Whether any finding was actually suppressed (filled by [`apply`]).
+    used: bool,
+}
+
+/// Apply `ctx`'s inline suppressions to the file's raw findings. Returns
+/// the findings no suppression covers, plus a D000 for each malformed
+/// suppression and for each one that matched nothing, and the number of
+/// suppressions that matched.
+pub fn filter(ctx: &FileCtx, findings: Vec<Finding>) -> (Vec<Finding>, usize) {
+    let (mut sups, mut out) = collect(ctx);
+    out.extend(apply(findings, &mut sups));
+    let mut used = 0;
+    for s in &sups {
+        if s.used {
+            used += 1;
+        } else {
+            out.push(Finding {
+                id: LintId::D000,
+                file: ctx.path.clone(),
+                line: s.comment_line,
+                message: format!(
+                    "suppression for {} matches no finding on line {}",
+                    s.ids.iter().map(|i| i.name()).collect::<Vec<_>>().join("/"),
+                    s.target_line
+                ),
+            });
+        }
+    }
+    (out, used)
 }
 
 /// Scan a file's comment tokens for suppressions. Malformed ones come back
 /// as D000 findings immediately.
-pub fn collect(ctx: &FileCtx) -> (Vec<Suppression>, Vec<Finding>) {
+fn collect(ctx: &FileCtx) -> (Vec<Suppression>, Vec<Finding>) {
     let mut sups = Vec::new();
     let mut findings = Vec::new();
     for (i, t) in ctx.toks.iter().enumerate() {
@@ -79,7 +107,7 @@ pub fn collect(ctx: &FileCtx) -> (Vec<Suppression>, Vec<Finding>) {
             continue;
         }
         match parse_body(body) {
-            Ok((ids, reason)) => {
+            Ok(ids) => {
                 // A comment with code before it on the same line covers
                 // that line; a standalone comment covers the next line.
                 let standalone = ctx
@@ -89,7 +117,6 @@ pub fn collect(ctx: &FileCtx) -> (Vec<Suppression>, Vec<Finding>) {
                 let target_line = if standalone { t.line + 1 } else { t.line };
                 sups.push(Suppression {
                     ids,
-                    reason,
                     comment_line: t.line,
                     target_line,
                     used: false,
@@ -141,8 +168,9 @@ pub fn parse_scratch(body: &str) -> Result<String, String> {
     Ok(inner.trim().to_string())
 }
 
-/// Parse `allow(D001, D004, reason="...")`.
-fn parse_body(body: &str) -> Result<(Vec<LintId>, String), String> {
+/// Parse `allow(D003, D004, reason="...")` into its IDs; the reason must
+/// be present and non-empty.
+fn parse_body(body: &str) -> Result<Vec<LintId>, String> {
     let body = body.trim();
     let inner = body
         .strip_prefix("allow")
@@ -151,7 +179,7 @@ fn parse_body(body: &str) -> Result<(Vec<LintId>, String), String> {
         .and_then(|r| r.rfind(')').map(|e| &r[..e]))
         .ok_or_else(|| format!("expected `allow(D00x, reason=\"...\")`, got `{body}`"))?;
     let mut ids = Vec::new();
-    let mut reason = None;
+    let mut has_reason = false;
     for part in split_args(inner) {
         let part = part.trim();
         if let Some(r) = part.strip_prefix("reason") {
@@ -167,7 +195,7 @@ fn parse_body(body: &str) -> Result<(Vec<LintId>, String), String> {
             if r.trim().is_empty() {
                 return Err("reason string must not be empty".into());
             }
-            reason = Some(r.to_string());
+            has_reason = true;
         } else if !part.is_empty() {
             let id = LintId::parse(part).ok_or_else(|| format!("unknown lint id `{part}`"))?;
             ids.push(id);
@@ -176,8 +204,10 @@ fn parse_body(body: &str) -> Result<(Vec<LintId>, String), String> {
     if ids.is_empty() {
         return Err("suppression names no lint ids".into());
     }
-    let reason = reason.ok_or("suppression is missing its reason=\"...\"")?;
-    Ok((ids, reason))
+    if !has_reason {
+        return Err("suppression is missing its reason=\"...\"".into());
+    }
+    Ok(ids)
 }
 
 /// Split on commas that are not inside the reason string.
@@ -202,9 +232,7 @@ fn split_args(s: &str) -> Vec<String> {
 }
 
 /// Drop findings covered by a suppression, marking those suppressions used.
-/// Returns the surviving findings; afterwards, unused suppressions are the
-/// caller's D000s.
-pub fn apply(findings: Vec<Finding>, sups: &mut [Suppression]) -> Vec<Finding> {
+fn apply(findings: Vec<Finding>, sups: &mut [Suppression]) -> Vec<Finding> {
     findings
         .into_iter()
         .filter(|f| {
@@ -230,19 +258,18 @@ mod tests {
 
     #[test]
     fn trailing_suppression_covers_its_line() {
-        let c = ctx("let x = m.get(&k); // distinct-lint: allow(D002, reason=\"checked above\")");
+        let c = ctx("let x = m.get(&k); // distinct-lint: allow(D101, reason=\"checked above\")");
         let (sups, bad) = collect(&c);
         assert!(bad.is_empty());
         assert_eq!(sups.len(), 1);
         assert_eq!(sups[0].target_line, 1);
-        assert_eq!(sups[0].ids, vec![LintId::D002]);
-        assert_eq!(sups[0].reason, "checked above");
+        assert_eq!(sups[0].ids, vec![LintId::D101]);
     }
 
     #[test]
     fn standalone_suppression_covers_next_line() {
         let c = ctx(
-            "// distinct-lint: allow(D001, reason=\"integer counts only\")\nfor v in m.values() {}",
+            "// distinct-lint: allow(D107, reason=\"integer counts only\")\nfor v in m.values() {}",
         );
         let (sups, bad) = collect(&c);
         assert!(bad.is_empty());
@@ -251,16 +278,16 @@ mod tests {
 
     #[test]
     fn multiple_ids() {
-        let c = ctx("x(); // distinct-lint: allow(D002, D004, reason=\"why, and more\")");
+        let c = ctx("x(); // distinct-lint: allow(D101, D004, reason=\"why, and more\")");
         let (sups, bad) = collect(&c);
         assert!(bad.is_empty());
-        assert_eq!(sups[0].ids, vec![LintId::D002, LintId::D004]);
-        assert_eq!(sups[0].reason, "why, and more");
+        // The comma inside the reason does not split off a bogus ID.
+        assert_eq!(sups[0].ids, vec![LintId::D101, LintId::D004]);
     }
 
     #[test]
     fn missing_reason_is_d000() {
-        let c = ctx("x(); // distinct-lint: allow(D002)");
+        let c = ctx("x(); // distinct-lint: allow(D101)");
         let (sups, bad) = collect(&c);
         assert!(sups.is_empty());
         assert_eq!(bad.len(), 1);
@@ -269,7 +296,7 @@ mod tests {
 
     #[test]
     fn empty_reason_is_d000() {
-        let c = ctx("x(); // distinct-lint: allow(D002, reason=\"  \")");
+        let c = ctx("x(); // distinct-lint: allow(D101, reason=\"  \")");
         let (_, bad) = collect(&c);
         assert_eq!(bad.len(), 1);
     }
@@ -321,17 +348,17 @@ mod tests {
 
     #[test]
     fn apply_consumes_matching_findings() {
-        let c = ctx("bad(); // distinct-lint: allow(D002, reason=\"proven\")");
+        let c = ctx("bad(); // distinct-lint: allow(D101, reason=\"proven\")");
         let (mut sups, _) = collect(&c);
         let fs = vec![
             Finding {
-                id: LintId::D002,
+                id: LintId::D101,
                 file: "f".into(),
                 line: 1,
                 message: "m".into(),
             },
             Finding {
-                id: LintId::D002,
+                id: LintId::D101,
                 file: "f".into(),
                 line: 9,
                 message: "m".into(),

@@ -25,21 +25,6 @@ fn workspace_is_exactly_as_clean_as_the_baseline() {
     );
 }
 
-/// The same gate in semantic mode: the interprocedural lints D101–D113
-/// (plus the shared per-file passes) must also match the baseline exactly
-/// against the live workspace.
-#[test]
-fn workspace_is_semantically_clean() {
-    let outcome =
-        lint::check_mode(&workspace_root(), lint::Mode::Semantic).expect("semantic check runs");
-    assert!(
-        outcome.diff.is_clean(),
-        "workspace drifted from lint.toml under --semantic\n  new debt: {:#?}\n  stale: {:?}",
-        outcome.diff.new_debt,
-        outcome.diff.stale
-    );
-}
-
 #[test]
 fn crate_graph_is_acyclic_with_exec_below_core() {
     let g = CrateGraph::load(&workspace_root()).expect("graph loads");
@@ -56,34 +41,44 @@ fn crate_graph_is_acyclic_with_exec_below_core() {
     assert!(pos("relstore") < pos("relgraph"));
 }
 
-/// Drive the real `lint` binary over a scratch workspace seeded with
-/// D001/D002/D003/D105 violations: check fails with each ID reported, the
-/// baseline ratchet accepts the debt, new debt fails again, and removing
-/// a baselined finding without ratcheting down is itself an error.
+/// Drive the real `lint` binary over a minimal scratch `crates/core`
+/// seeded with D101/D003/D105/D107 violations: check fails with each ID
+/// reported, the baseline ratchet accepts the debt, new debt fails again,
+/// and removing a baselined finding without ratcheting down is itself an
+/// error. The retired `--semantic` flag is a usage error.
 #[test]
 fn binary_fails_on_seeded_violations_and_ratchets() {
     let scratch =
         std::env::temp_dir().join(format!("distinct-lint-selfcheck-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
-    let src_dir = scratch.join("crates/app/src");
+    let src_dir = scratch.join("crates/core/src");
     std::fs::create_dir_all(&src_dir).expect("mkdir scratch workspace");
     std::fs::write(scratch.join("Cargo.toml"), "[workspace]\n").expect("write manifest");
+    std::fs::write(
+        scratch.join("crates/core/Cargo.toml"),
+        "[package]\nname = \"distinct\"\n",
+    )
+    .expect("write core manifest");
 
     let seeded = "\
 use rustc_hash::FxHashMap;
 
+/// Folds in hash order.
 pub fn total(weights: &FxHashMap<u32, f64>) -> f64 {
     weights.values().sum()
 }
 
+/// Panics on an empty slice.
 pub fn head(xs: &[f64]) -> f64 {
     xs.first().unwrap()
 }
 
+/// Spawns outside the exec pool.
 pub fn go() {
     std::thread::spawn(|| {});
 }
 
+/// Writes around the atomic persist path.
 pub fn persist(p: &std::path::Path) {
     let _ = std::fs::write(p, b\"state\");
 }
@@ -91,27 +86,16 @@ pub fn persist(p: &std::path::Path) {
     let lib = src_dir.join("lib.rs");
     std::fs::write(&lib, seeded).expect("write seeded lib");
 
-    let run = |args: &[&str]| {
-        let out = Command::new(env!("CARGO_BIN_EXE_lint"))
-            .args(args)
-            .arg("--root")
-            .arg(&scratch)
-            .output()
-            .expect("spawn lint binary");
-        let text = format!(
-            "{}{}",
-            String::from_utf8_lossy(&out.stdout),
-            String::from_utf8_lossy(&out.stderr)
-        );
-        (out.status.code(), text)
-    };
+    let run = |args: &[&str]| run_lint(args, &scratch);
 
     // 1. No baseline: every seeded violation is new debt, exit 1.
     let (code, text) = run(&["check"]);
     assert_eq!(code, Some(1), "seeded workspace must fail check:\n{text}");
-    for id in ["D001", "D002", "D003", "D105"] {
+    for id in ["D003", "D101", "D105", "D107"] {
         assert!(text.contains(id), "missing {id} in:\n{text}");
     }
+    let (code, text) = run(&["check", "--semantic"]);
+    assert_eq!(code, Some(2), "--semantic must be a usage error:\n{text}");
 
     // 2. Ratchet the debt in, then check is clean.
     let (code, text) = run(&["check", "--fix-baseline"]);
@@ -122,12 +106,14 @@ pub fn persist(p: &std::path::Path) {
     // 3. New debt on top of the baseline still fails.
     std::fs::write(
         &lib,
-        format!("{seeded}\npub fn more(xs: &[f64]) -> f64 {{\n    xs.last().unwrap()\n}}\n"),
+        format!(
+            "{seeded}\n/// More debt.\npub fn more(xs: &[f64]) -> f64 {{\n    xs.last().unwrap()\n}}\n"
+        ),
     )
     .expect("append new debt");
     let (code, text) = run(&["check"]);
     assert_eq!(code, Some(1), "new debt must fail:\n{text}");
-    assert!(text.contains("D002"), "new unwrap not reported:\n{text}");
+    assert!(text.contains("D101"), "new unwrap not reported:\n{text}");
 
     // 4. Fixing a finding without ratcheting the baseline down is stale.
     std::fs::write(&lib, seeded.replace("xs.first().unwrap()", "42.0")).expect("fix a finding");
@@ -184,8 +170,8 @@ fn run_lint(args: &[&str], root: &Path) -> (Option<i32>, String) {
     (out.status.code(), text)
 }
 
-/// The PR's acceptance scenario, end to end: copy the real workspace,
-/// confirm `check --semantic` passes on the copy, then seed a panic site
+/// The reachability scenario, end to end: copy the real workspace,
+/// confirm `check` passes on the copy, then seed a panic site
 /// into crates/cluster reachable from a new `resolve*` entry point and
 /// assert the binary fails with a D101 finding naming the call chain.
 #[test]
@@ -196,8 +182,8 @@ fn binary_reports_seeded_panic_reachable_from_resolve() {
     copy_workspace(&workspace_root(), &scratch);
 
     // The pristine copy is exactly as clean as the real workspace.
-    let (code, text) = run_lint(&["check", "--semantic"], &scratch);
-    assert_eq!(code, Some(0), "pristine copy must pass --semantic:\n{text}");
+    let (code, text) = run_lint(&["check"], &scratch);
+    assert_eq!(code, Some(0), "pristine copy must pass check:\n{text}");
 
     // Seed: an unwrap in crates/cluster plus a core entry point that
     // reaches it. Lexing does not require the files to be `mod`-declared.
@@ -213,8 +199,8 @@ fn binary_reports_seeded_panic_reachable_from_resolve() {
     )
     .expect("seed core entry point");
 
-    let (code, text) = run_lint(&["check", "--semantic"], &scratch);
-    assert_eq!(code, Some(1), "seeded copy must fail --semantic:\n{text}");
+    let (code, text) = run_lint(&["check"], &scratch);
+    assert_eq!(code, Some(1), "seeded copy must fail check:\n{text}");
     assert!(text.contains("D101"), "no D101 reported:\n{text}");
     assert!(
         text.contains("crates/cluster/src/seeded.rs"),
@@ -225,21 +211,11 @@ fn binary_reports_seeded_panic_reachable_from_resolve() {
         "finding does not name the call chain from the entry point:\n{text}"
     );
 
-    // Syntactic mode is indifferent to reachability: the same workspace
-    // fails there too, but as a plain per-file D002.
-    let (code, text) = run_lint(&["check"], &scratch);
-    assert_eq!(
-        code,
-        Some(1),
-        "seeded copy must fail syntactic check:\n{text}"
-    );
-    assert!(text.contains("D002"), "no D002 reported:\n{text}");
-
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
 /// Seed a guard held across an exec pool submit into crates/core and
-/// assert `check --semantic` fails with a D106 finding that names the
+/// assert `check` fails with a D106 finding that names the
 /// guard binding and the blocking call.
 #[test]
 fn binary_reports_seeded_guard_across_pool_boundary() {
@@ -255,8 +231,8 @@ fn binary_reports_seeded_guard_across_pool_boundary() {
     )
     .expect("seed guard-liveness violation");
 
-    let (code, text) = run_lint(&["check", "--semantic"], &scratch);
-    assert_eq!(code, Some(1), "seeded copy must fail --semantic:\n{text}");
+    let (code, text) = run_lint(&["check"], &scratch);
+    assert_eq!(code, Some(1), "seeded copy must fail check:\n{text}");
     assert!(text.contains("D106"), "no D106 reported:\n{text}");
     assert!(
         text.contains("`g`") && text.contains("par_map_guarded"),
@@ -266,8 +242,8 @@ fn binary_reports_seeded_guard_across_pool_boundary() {
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
-/// Seed an unordered hash fold into crates/core and assert semantic mode
-/// reports it as D107 (the flow-sensitive subsumption of syntactic D001).
+/// Seed an unordered hash fold into crates/core and assert `check`
+/// reports it as D107.
 #[test]
 fn binary_reports_seeded_hash_fold_as_determinism_taint() {
     let scratch = std::env::temp_dir().join(format!("distinct-lint-d107-{}", std::process::id()));
@@ -282,8 +258,8 @@ fn binary_reports_seeded_hash_fold_as_determinism_taint() {
     )
     .expect("seed determinism-taint violation");
 
-    let (code, text) = run_lint(&["check", "--semantic"], &scratch);
-    assert_eq!(code, Some(1), "seeded copy must fail --semantic:\n{text}");
+    let (code, text) = run_lint(&["check"], &scratch);
+    assert_eq!(code, Some(1), "seeded copy must fail check:\n{text}");
     assert!(text.contains("D107"), "no D107 reported:\n{text}");
     assert!(
         text.contains("seeded_total"),
@@ -294,7 +270,7 @@ fn binary_reports_seeded_hash_fold_as_determinism_taint() {
 }
 
 /// Strip the `shared(...)` declaration off a real registered cell
-/// (ProfileCache's shard array) and assert semantic mode fails with D108
+/// (ProfileCache's shard array) and assert `check` fails with D108
 /// — and that `--fix-baseline` refuses to absorb it as debt.
 #[test]
 fn binary_reports_stripped_shared_declaration_and_refuses_to_baseline_it() {
@@ -312,15 +288,15 @@ fn binary_reports_stripped_shared_declaration_and_refuses_to_baseline_it() {
     assert_ne!(src, stripped, "cache.rs must carry a shared() declaration");
     std::fs::write(&cache, stripped).expect("strip declaration");
 
-    let (code, text) = run_lint(&["check", "--semantic"], &scratch);
-    assert_eq!(code, Some(1), "stripped copy must fail --semantic:\n{text}");
+    let (code, text) = run_lint(&["check"], &scratch);
+    assert_eq!(code, Some(1), "stripped copy must fail check:\n{text}");
     assert!(text.contains("D108"), "no D108 reported:\n{text}");
     assert!(
         text.contains("ProfileCache") && text.contains("crates/core/src/cache.rs"),
         "finding does not name the owner and file:\n{text}"
     );
 
-    let (code, text) = run_lint(&["check", "--semantic", "--fix-baseline"], &scratch);
+    let (code, text) = run_lint(&["check", "--fix-baseline"], &scratch);
     assert_eq!(code, Some(2), "fix-baseline must refuse D108 debt:\n{text}");
     assert!(
         text.contains("shared(") && text.contains("declaration"),
@@ -331,7 +307,7 @@ fn binary_reports_stripped_shared_declaration_and_refuses_to_baseline_it() {
 }
 
 /// Seed a pool closure that mutates a captured buffer and assert
-/// semantic mode reports it as D109 with the return-per-task guidance.
+/// `check` reports it as D109 with the return-per-task guidance.
 #[test]
 fn binary_reports_seeded_closure_capture_mutation() {
     let scratch = std::env::temp_dir().join(format!("distinct-lint-d109-{}", std::process::id()));
@@ -348,8 +324,8 @@ fn binary_reports_seeded_closure_capture_mutation() {
     )
     .expect("seed commit-mutation violation");
 
-    let (code, text) = run_lint(&["check", "--semantic"], &scratch);
-    assert_eq!(code, Some(1), "seeded copy must fail --semantic:\n{text}");
+    let (code, text) = run_lint(&["check"], &scratch);
+    assert_eq!(code, Some(1), "seeded copy must fail check:\n{text}");
     assert!(text.contains("D109"), "no D109 reported:\n{text}");
     assert!(
         text.contains("`out`") && text.contains("ordered-commit"),
@@ -360,7 +336,7 @@ fn binary_reports_seeded_closure_capture_mutation() {
 }
 
 /// Seed a charge-guarded function that allocates on every loop iteration
-/// into crates/core and assert semantic mode reports it as D110.
+/// into crates/core and assert `check` reports it as D110.
 #[test]
 fn binary_reports_seeded_hot_loop_allocation() {
     let scratch = std::env::temp_dir().join(format!("distinct-lint-d110-{}", std::process::id()));
@@ -377,8 +353,8 @@ fn binary_reports_seeded_hot_loop_allocation() {
     )
     .expect("seed hot-loop allocation violation");
 
-    let (code, text) = run_lint(&["check", "--semantic"], &scratch);
-    assert_eq!(code, Some(1), "seeded copy must fail --semantic:\n{text}");
+    let (code, text) = run_lint(&["check"], &scratch);
+    assert_eq!(code, Some(1), "seeded copy must fail check:\n{text}");
     assert!(text.contains("D110"), "no D110 reported:\n{text}");
     assert!(
         text.contains("seeded_features"),
@@ -389,7 +365,7 @@ fn binary_reports_seeded_hot_loop_allocation() {
 }
 
 /// Seed a clone that is only ever read afterwards into crates/core and
-/// assert semantic mode reports it as D111 with the borrow guidance.
+/// assert `check` reports it as D111 with the borrow guidance.
 #[test]
 fn binary_reports_seeded_read_only_clone() {
     let scratch = std::env::temp_dir().join(format!("distinct-lint-d111-{}", std::process::id()));
@@ -404,8 +380,8 @@ fn binary_reports_seeded_read_only_clone() {
     )
     .expect("seed read-only clone violation");
 
-    let (code, text) = run_lint(&["check", "--semantic"], &scratch);
-    assert_eq!(code, Some(1), "seeded copy must fail --semantic:\n{text}");
+    let (code, text) = run_lint(&["check"], &scratch);
+    assert_eq!(code, Some(1), "seeded copy must fail check:\n{text}");
     assert!(text.contains("D111"), "no D111 reported:\n{text}");
     assert!(
         text.contains("`copy`") && text.contains("borrow"),
@@ -417,7 +393,7 @@ fn binary_reports_seeded_read_only_clone() {
 
 /// Strip the `scratch(...)` declaration off a real registered scratch
 /// structure (the pooled `SetArena` minted in `ArenaPool::take`) and
-/// assert semantic mode fails with D112 — and that `--fix-baseline`
+/// assert `check` fails with D112 — and that `--fix-baseline`
 /// refuses to absorb it as debt, mirroring the D108 refusal.
 #[test]
 fn binary_reports_stripped_scratch_declaration_and_refuses_to_baseline_it() {
@@ -435,15 +411,15 @@ fn binary_reports_stripped_scratch_declaration_and_refuses_to_baseline_it() {
     assert_ne!(src, stripped, "arena.rs must carry a scratch() declaration");
     std::fs::write(&arena, stripped).expect("strip declaration");
 
-    let (code, text) = run_lint(&["check", "--semantic"], &scratch);
-    assert_eq!(code, Some(1), "stripped copy must fail --semantic:\n{text}");
+    let (code, text) = run_lint(&["check"], &scratch);
+    assert_eq!(code, Some(1), "stripped copy must fail check:\n{text}");
     assert!(text.contains("D112"), "no D112 reported:\n{text}");
     assert!(
         text.contains("SetArena") && text.contains("crates/relgraph/src/arena.rs"),
         "finding does not name the scratch type and file:\n{text}"
     );
 
-    let (code, text) = run_lint(&["check", "--semantic", "--fix-baseline"], &scratch);
+    let (code, text) = run_lint(&["check", "--fix-baseline"], &scratch);
     assert_eq!(code, Some(2), "fix-baseline must refuse D112 debt:\n{text}");
     assert!(
         text.contains("scratch(") && text.contains("declaration"),
@@ -454,7 +430,7 @@ fn binary_reports_stripped_scratch_declaration_and_refuses_to_baseline_it() {
 }
 
 /// Seed a spine-reachable struct field that only ever grows into
-/// crates/core and assert semantic mode reports it as D113.
+/// crates/core and assert `check` reports it as D113.
 #[test]
 fn binary_reports_seeded_unbounded_growth() {
     let scratch = std::env::temp_dir().join(format!("distinct-lint-d113-{}", std::process::id()));
@@ -471,8 +447,8 @@ fn binary_reports_seeded_unbounded_growth() {
     )
     .expect("seed unbounded-growth violation");
 
-    let (code, text) = run_lint(&["check", "--semantic"], &scratch);
-    assert_eq!(code, Some(1), "seeded copy must fail --semantic:\n{text}");
+    let (code, text) = run_lint(&["check"], &scratch);
+    assert_eq!(code, Some(1), "seeded copy must fail check:\n{text}");
     assert!(text.contains("D113"), "no D113 reported:\n{text}");
     assert!(
         text.contains("SeededLog") && text.contains("events"),
@@ -558,10 +534,10 @@ fn graph_fails_loudly_on_missing_manifest() {
         "error does not name the stray directory:\n{text}"
     );
 
-    // The semantic check depends on the same crate topology, so it fails
+    // The check resolves calls over the same crate topology, so it fails
     // with the same typed error instead of silently under-resolving.
-    let (code, text) = run_lint(&["check", "--semantic"], &scratch);
-    assert_eq!(code, Some(2), "semantic check must fail too:\n{text}");
+    let (code, text) = run_lint(&["check"], &scratch);
+    assert_eq!(code, Some(2), "check must fail too:\n{text}");
     assert!(text.contains("no Cargo.toml"), "{text}");
 
     let _ = std::fs::remove_dir_all(&scratch);

@@ -126,9 +126,7 @@ pub fn naive_agglomerate(
         for (i, &x) in live.iter().enumerate() {
             for &y in &live[i + 1..] {
                 let sim = cluster_similarity(
-                    // distinct-lint: allow(D002, reason="live holds exactly the indices whose cluster slot is Some; the oracle is test-only and must crash loudly on contract violations")
                     clusters[x].as_ref().unwrap(),
-                    // distinct-lint: allow(D002, reason="live holds exactly the indices whose cluster slot is Some; the oracle is test-only and must crash loudly on contract violations")
                     clusters[y].as_ref().unwrap(),
                     resem,
                     dwalk,
@@ -153,8 +151,8 @@ pub fn naive_agglomerate(
             }
         }
         let Some((sim, (a, b))) = best else { break };
-        let mut members = clusters[a].take().unwrap(); // distinct-lint: allow(D002, reason="best was chosen over pairs of live indices, whose slots are Some; the oracle is test-only and must crash loudly")
-        members.extend(clusters[b].take().unwrap()); // distinct-lint: allow(D002, reason="best was chosen over pairs of live indices, whose slots are Some; the oracle is test-only and must crash loudly")
+        let mut members = clusters[a].take().unwrap();
+        members.extend(clusters[b].take().unwrap());
         let into = clusters.len();
         merges.push(OracleMerge {
             a,

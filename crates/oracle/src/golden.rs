@@ -156,10 +156,10 @@ pub fn golden_cases() -> Vec<GoldenCase> {
 /// a programming error.
 pub fn compute_case(template: &GoldenCase) -> GoldenCase {
     let d = datagen::to_catalog(&World::generate(template.config.clone()))
-        .expect("golden world must convert to a catalog"); // distinct-lint: allow(D002, reason="golden configs are static and checked in; a conversion failure is a programming error the conformance suite must crash on")
-    let ex = relstore::expand_values(&d.catalog).expect("golden world must expand"); // distinct-lint: allow(D002, reason="golden configs are static and checked in; an expansion failure is a programming error the conformance suite must crash on")
+        .expect("golden world must convert to a catalog");
+    let ex = relstore::expand_values(&d.catalog).expect("golden world must expand");
     let (paths, ref_fk) = select_paths(&ex.catalog, "Publish", "author", template.max_path_len)
-        .expect("golden world must expose Publish.author"); // distinct-lint: allow(D002, reason="golden configs are static and checked in; a missing Publish.author is a programming error the conformance suite must crash on")
+        .expect("golden world must expose Publish.author");
     let uniform = vec![1.0 / paths.len() as f64; paths.len()];
     let engine = OracleEngine::new(
         &ex.catalog,

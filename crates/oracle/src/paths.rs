@@ -37,7 +37,7 @@ pub fn select_paths(
     let paths = enumerate_paths(catalog, start, &opts)
         .into_iter()
         .filter(|p| {
-            let first = &p.steps[0]; // distinct-lint: allow(D002, reason="enumerate_paths never yields an empty step list (paths grow from one step); test-only reference crate")
+            let first = &p.steps[0];
             !(first.fk == ref_fk && first.dir == Direction::Forward)
         })
         .collect();

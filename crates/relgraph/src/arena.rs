@@ -372,7 +372,7 @@ impl ArenaPool {
     /// Callers must [`SetArena::rebuild_rows`] it before use and should
     /// [`ArenaPool::put`] it back when the stage is done.
     pub fn take(&self) -> SetArena {
-        // distinct-lint: allow(D002, D101, reason="a poisoned pool mutex means a kernel stage panicked mid-build; resolve is already unwinding and recycled capacity is unrecoverable")
+        // distinct-lint: allow(D101, reason="a poisoned pool mutex means a kernel stage panicked mid-build; resolve is already unwinding and recycled capacity is unrecoverable")
         if let Some(arena) = self.free.lock().unwrap().pop() {
             return arena;
         }
@@ -382,7 +382,7 @@ impl ArenaPool {
 
     /// Return an arena to the free list for the next stage to reuse.
     pub fn put(&self, arena: SetArena) {
-        // distinct-lint: allow(D002, D101, reason="a poisoned pool mutex means a kernel stage panicked mid-build; resolve is already unwinding, so losing the returned capacity is the correct degraded behavior")
+        // distinct-lint: allow(D101, reason="a poisoned pool mutex means a kernel stage panicked mid-build; resolve is already unwinding, so losing the returned capacity is the correct degraded behavior")
         self.free.lock().unwrap().push(arena);
     }
 

@@ -311,7 +311,7 @@ impl LinkGraph {
     pub fn adjacency_bytes(&self) -> usize {
         let csr = |c: &Csr| c.offsets.len() * 4 + c.targets.len() * 4;
         let over =
-            |m: &FxHashMap<NodeId, Vec<NodeId>>| m.values().map(|v| 4 + 4 * v.len()).sum::<usize>(); // distinct-lint: allow(D001, D107, reason="integer byte count; usize addition is order-independent")
+            |m: &FxHashMap<NodeId, Vec<NodeId>>| m.values().map(|v| 4 + 4 * v.len()).sum::<usize>(); // distinct-lint: allow(D107, reason="integer byte count; usize addition is order-independent")
         self.forward.iter().map(csr).sum::<usize>()
             + self.backward.iter().map(csr).sum::<usize>()
             + self.fwd_over.iter().map(over).sum::<usize>()

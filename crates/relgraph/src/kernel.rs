@@ -41,7 +41,6 @@ fn is_strictly_ascending<T: Ord>(ids: &[T]) -> bool {
 
 /// Call `f(w_a, w_b)` for every id the two rows share, in ascending id
 /// order.
-// distinct-lint: allow(D005, reason="O(|A|+|B|) per-pair leaf; DistinctMerger and featurization charge the budget per pair")
 fn for_each_shared<T: Ord>(a: Row<'_, T>, b: Row<'_, T>, mut f: impl FnMut(f64, f64)) {
     let ((ia, wa), (ib, wb)) = (a, b);
     debug_assert!(is_strictly_ascending(ia), "lhs row not sorted");

@@ -113,7 +113,6 @@ impl Propagation {
 
     /// Append one run of `(node, forward, backward)` entries, which must
     /// come in strictly ascending node order with positive masses.
-    // distinct-lint: allow(D005, reason="O(run) copy of one validated run; checkpoint loads and tests call it once per profile path")
     pub fn push_path(&mut self, entries: impl IntoIterator<Item = (NodeId, f64, f64)>) {
         let lo = self.nodes.len();
         for (n, f, b) in entries {
@@ -169,7 +168,6 @@ pub fn propagate_blocked(
         &mut |_| true,
         &mut out,
     )
-    // distinct-lint: allow(D002, reason="guard is the constant true closure above, so the traversal can never be abandoned")
     .expect("permissive guard never stops propagation");
     out
 }
@@ -252,7 +250,6 @@ pub fn propagate_blocked_guarded(
         // Each `u` gets an independent entry and `acc` sums over the
         // deterministic reverse-neighbor slice, so iteration order cannot
         // affect any value — only the map's (unobserved) internal layout.
-        // distinct-lint: allow(D001, reason="per-key insert with no cross-key accumulation; acc sums a deterministic slice")
         for &u in levels[i + 1].keys() {
             let nbrs = graph.step_neighbors(rev, u, rev_src_rel);
             debug_assert!(!nbrs.is_empty(), "reached tuple has no reverse neighbor");

@@ -99,7 +99,6 @@ impl Relation {
         // Maintain any already-built secondary indexes. Iteration order over
         // the index map is irrelevant: each pass touches a different index,
         // and within one index the posting order follows tuple insertion.
-        // distinct-lint: allow(D001, reason="independent per-index updates; posting order follows tuple insertion, not hash order")
         for (attr, index) in self.secondary.iter_mut() {
             let v = tuple.get(*attr);
             if !v.is_null() {

@@ -57,7 +57,7 @@ impl LinearModel {
 
     /// Serialize to JSON.
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("LinearModel serializes") // distinct-lint: allow(D002, reason="LinearModel is a flat struct of f64s and strings; serde_json cannot fail on it (no maps with non-string keys)")
+        serde_json::to_string(self).expect("LinearModel serializes")
     }
 
     /// Deserialize from JSON.

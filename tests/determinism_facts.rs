@@ -12,17 +12,13 @@
 
 use datagen::{to_catalog, AmbiguousSpec, World, WorldConfig};
 use distinct::{Distinct, DistinctConfig, ResolveRequest, TrainRequest, TrainingConfig};
-use lint::callgraph::CallGraph;
 use lint::concur::{self, ConcurFacts};
-use lint::symbols::Workspace;
 use std::path::Path;
 
 fn registry() -> ConcurFacts {
     let root =
         lint::workspace::find_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
-    let ctxs = lint::workspace::collect_files(&root).expect("scan workspace");
-    let ws = Workspace::from_workspace(&root, &ctxs).expect("symbol table");
-    let graph = CallGraph::build(ws);
+    let (ctxs, graph) = lint::load(&root).expect("load workspace call graph");
     concur::collect_facts(&graph, &ctxs)
 }
 
