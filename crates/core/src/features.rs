@@ -14,7 +14,7 @@
 //! contribute a large constant resemblance along the coauthor path.
 
 use crate::paths::PathSet;
-use relgraph::{directed_walk, resemblance, LinkGraph, PathColumns, Propagation};
+use relgraph::{directed_walk, resemblance, LinkGraph, PathColumns, PropagateScratch, Propagation};
 use relstore::{Catalog, TupleRef};
 
 /// Per-path propagation results for one reference.
@@ -80,6 +80,8 @@ pub fn build_profile_guarded(
         .into_iter()
         .collect();
     let mut columns = Propagation::new();
+    // distinct-lint: scratch(per profile: one propagation scratch serves every path of the profile; each call clears its maps and buffers, keeping their capacity, and the scratch drops with the profile build)
+    let mut scratch = PropagateScratch::default();
     for path in &paths.paths {
         relgraph::propagate_blocked_guarded(
             graph,
@@ -88,6 +90,7 @@ pub fn build_profile_guarded(
             reference,
             &blocked,
             guard,
+            &mut scratch,
             &mut columns,
         )?;
     }

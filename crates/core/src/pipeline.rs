@@ -28,7 +28,7 @@ use crate::training::{
 };
 use cluster::{agglomerate_exec, Clustering, ConstrainedMerger, Dendrogram, PartialClustering};
 use relgraph::LinkGraph;
-use relstore::{Catalog, FxHashMap, StoreError, TupleId, TupleRef, Value};
+use relstore::{Catalog, FxHashMap, StoreError, TupleRef, Value};
 use std::convert::Infallible;
 use std::fmt;
 use std::sync::Arc;
@@ -359,10 +359,9 @@ impl Distinct {
     /// All references whose value equals `name`.
     pub fn references_of(&self, name: &str) -> Vec<TupleRef> {
         self.catalog
-            .relation(self.paths.start)
-            .lookup(self.ref_attr_idx, &Value::str(name))
+            .referrers_of(self.paths.ref_fk, &Value::str(name))
             .into_iter()
-            .map(|tid: TupleId| TupleRef::new(self.paths.start, tid))
+            .map(|tid| TupleRef::new(self.paths.start, tid))
             .collect()
     }
 

@@ -11,7 +11,7 @@ use crate::features::{resemblance_features, walk_features, Profile};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use relstore::{Catalog, FxHashMap, RelId, TupleId, TupleRef, Value};
+use relstore::{Catalog, FxHashMap, RelId, TupleRef};
 use std::sync::Arc;
 
 /// One training pair with its label (+1 equivalent, −1 distinct).
@@ -163,7 +163,7 @@ pub fn build_training_set(
 
     // Unique-name candidates with at least 2 references.
     let mut unique: Vec<(String, Vec<TupleRef>)> = Vec::new();
-    for (_, t) in catalog.relation(authors).iter() {
+    for (tid, t) in catalog.relation(authors).iter() {
         let Some(name) = t.get(key_attr).as_str() else {
             continue;
         };
@@ -173,12 +173,7 @@ pub fn build_training_set(
         if first_freq[f] > cfg.max_first_name_freq || last_freq[l] > cfg.max_last_name_freq {
             continue;
         }
-        let refs: Vec<TupleRef> = catalog
-            .relation(publish)
-            .lookup(attr, &Value::str(name))
-            .into_iter()
-            .map(|tid: TupleId| TupleRef::new(publish, tid))
-            .collect();
+        let refs = catalog.follow_backward(fk.id, TupleRef::new(authors, tid));
         if refs.len() >= 2 {
             unique.push((name.to_string(), refs));
         }

@@ -49,7 +49,7 @@ use crate::pipeline::{Distinct, DistinctError};
 use relgraph::{LinkGraph, NodeId};
 use relstore::{
     expand::pseudo_relation_name, AttrRole, Catalog, Direction, FkId, FxHashMap, FxHashSet,
-    JoinStep, RelId, Tuple, TupleRef, Value,
+    JoinStep, RelId, Tuple, TupleId, TupleRef, Value,
 };
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -116,24 +116,25 @@ impl UpdateReport {
     }
 }
 
-/// Whether an identical tuple already exists (keyed relations compare the
-/// key's current row; keyless ones probe by first attribute, indexed or
-/// scanned).
+/// Whether an identical tuple already exists. Keyed relations compare
+/// the key's current row; keyless ones compare the referrers of their
+/// first non-null foreign-key value, which include tuples inserted
+/// earlier in the same batch, and scan when they have none.
 fn already_present(catalog: &Catalog, rel: RelId, values: &[Value]) -> bool {
     let relation = catalog.relation(rel);
+    let same = |tid: TupleId| relation.tuple(tid).values() == values;
     if let Some(k) = relation.schema().key_index() {
-        return match relation.by_key(&values[k]) {
-            Some(tid) => relation.tuple(tid).values() == values,
-            None => false,
-        };
+        return relation.by_key(&values[k]).is_some_and(same);
     }
-    let Some(probe) = values.first() else {
-        return false;
-    };
-    relation
-        .lookup(0, probe)
-        .into_iter()
-        .any(|tid| relation.tuple(tid).values() == values)
+    let probe = catalog
+        .out_edges(rel)
+        .iter()
+        .map(|&fk| (fk, &values[catalog.fk(fk).attr]))
+        .find(|(_, v)| !v.is_null());
+    match probe {
+        Some((fk, v)) => catalog.referrers_of(fk, v).into_iter().any(same),
+        None => relation.iter().any(|(tid, _)| same(tid)),
+    }
 }
 
 /// The result of the phase-1 reachability sweep: the reference-relation
@@ -604,6 +605,33 @@ mod tests {
                 existing.get(proc_idx).clone(),
             ],
         )
+    }
+
+    #[test]
+    fn a_tuple_repeated_within_one_batch_is_applied_once() {
+        // A byline pairing an existing paper with an author who did not
+        // write it: the second copy must see the first, which the batch
+        // inserted but no finalize has linked yet.
+        let d = dataset();
+        let mut e = engine(&d);
+        let publish = d.catalog.relation(d.publish);
+        let paper = publish.tuple(relstore::TupleId(0)).get(1).clone();
+        let wrote = |a: &Value| {
+            publish
+                .iter()
+                .any(|(_, t)| *t.get(0) == *a && *t.get(1) == paper)
+        };
+        let author = d
+            .catalog
+            .relation(d.authors)
+            .iter()
+            .map(|(_, t)| t.get(0).clone())
+            .find(|a| !wrote(a))
+            .unwrap();
+        let byline = UpdateTuple::new("Publish", vec![author, paper]);
+        let report = e.apply_updates(&[byline.clone(), byline]).unwrap();
+        assert_eq!((report.applied, report.skipped), (1, 1));
+        assert_eq!(report.refs_added, 1);
     }
 
     #[test]

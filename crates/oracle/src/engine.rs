@@ -10,6 +10,7 @@
 
 use crate::cluster::{naive_agglomerate, OracleClustering};
 use crate::profile::{build_profile, OracleProfile};
+use crate::propagate::Adjacency;
 use crate::resemblance::weighted_jaccard;
 use crate::walk::directed_walk;
 use relstore::{Catalog, FkId, JoinPath, TupleRef};
@@ -50,7 +51,7 @@ pub struct OraclePairwise {
 /// A fully configured reference oracle over one catalog.
 #[derive(Debug)]
 pub struct OracleEngine<'a> {
-    catalog: &'a Catalog,
+    adjacency: Adjacency<'a>,
     paths: Vec<JoinPath>,
     ref_fk: FkId,
     resem_weights: Vec<f64>,
@@ -80,7 +81,7 @@ impl<'a> OracleEngine<'a> {
         );
         assert_eq!(walk_weights.len(), paths.len(), "one walk weight per path");
         Self {
-            catalog,
+            adjacency: Adjacency::new(catalog),
             paths,
             ref_fk,
             resem_weights,
@@ -97,7 +98,7 @@ impl<'a> OracleEngine<'a> {
 
     /// Naive profile of one reference.
     pub fn profile(&self, reference: TupleRef) -> OracleProfile {
-        build_profile(self.catalog, &self.paths, self.ref_fk, reference)
+        build_profile(&self.adjacency, &self.paths, self.ref_fk, reference)
     }
 
     /// Weighted leaf resemblance between two profiles:

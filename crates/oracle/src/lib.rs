@@ -53,6 +53,6 @@ pub use engine::{Composite, Measure, OracleEngine, OraclePairwise};
 pub use golden::{compute_case, golden_cases, GoldenCase, GoldenGroup, GoldenMerge};
 pub use paths::select_paths;
 pub use profile::{build_profile, OracleProfile};
-pub use propagate::{enumerate_propagation, Mass, OraclePropagation};
+pub use propagate::{enumerate_propagation, Adjacency, Mass, OraclePropagation};
 pub use resemblance::weighted_jaccard;
 pub use walk::directed_walk;

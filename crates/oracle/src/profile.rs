@@ -5,8 +5,8 @@
 //! blocked in every per-path propagation — linkage routed through the
 //! shared name tuple is vacuous for distinguishing resembling references.
 
-use crate::propagate::{enumerate_propagation, OraclePropagation};
-use relstore::{Catalog, FkId, JoinPath, TupleRef};
+use crate::propagate::{enumerate_propagation, Adjacency, OraclePropagation};
+use relstore::{FkId, JoinPath, JoinStep, TupleRef};
 
 /// Per-path propagation results for one reference, computed naively.
 #[derive(Debug, Clone)]
@@ -20,18 +20,15 @@ pub struct OracleProfile {
 /// Build the oracle profile of one reference: propagate along every path
 /// with the reference's own name tuple blocked.
 pub fn build_profile(
-    catalog: &Catalog,
+    adj: &Adjacency<'_>,
     paths: &[JoinPath],
     ref_fk: FkId,
     reference: TupleRef,
 ) -> OracleProfile {
-    let blocked: Vec<TupleRef> = catalog
-        .follow_forward(ref_fk, reference)
-        .into_iter()
-        .collect();
+    let blocked = adj.step_neighbors(JoinStep::forward(ref_fk), reference);
     let props = paths
         .iter()
-        .map(|path| enumerate_propagation(catalog, path, reference, &blocked))
+        .map(|path| enumerate_propagation(adj, path, reference, &blocked))
         .collect();
     OracleProfile { reference, props }
 }
@@ -51,8 +48,9 @@ mod tests {
         let ex = relstore::expand_values(&d.catalog).unwrap();
         let (paths, ref_fk) = select_paths(&ex.catalog, "Publish", "author", 3).unwrap();
         let r = d.truths[0].refs[0];
-        let own = ex.catalog.follow_forward(ref_fk, r).unwrap();
-        let p = build_profile(&ex.catalog, &paths, ref_fk, r);
+        let adj = Adjacency::new(&ex.catalog);
+        let own = adj.step_neighbors(JoinStep::forward(ref_fk), r)[0];
+        let p = build_profile(&adj, &paths, ref_fk, r);
         assert_eq!(p.props.len(), paths.len());
         let mut reached_any = false;
         for prop in &p.props {

@@ -12,8 +12,9 @@
 //!
 //! where `|nbrs(u_i)|` counts *all* tuples joinable from `u_i` along step
 //! `i+1`. This module enumerates each walk individually via recursion over
-//! the catalog's foreign-key indexes and accumulates the products into a
-//! `BTreeMap` keyed by [`TupleRef`], so every sum runs in tuple order.
+//! an [`Adjacency`] derived from tuple values alone and accumulates the
+//! products into a `BTreeMap` keyed by [`TupleRef`], so every sum runs in
+//! tuple order.
 //!
 //! Semantics mirrored from the production propagation, stated explicitly:
 //!
@@ -29,7 +30,7 @@
 //!   the forward support (which is exactly the set of tuples that can
 //!   reach `r` backwards — a forward walk reversed is a backward walk).
 
-use relstore::{Catalog, Direction, JoinPath, JoinStep, TupleRef};
+use relstore::{Catalog, Direction, JoinPath, JoinStep, TupleId, TupleRef, Value};
 use std::collections::BTreeMap;
 
 /// A deterministic weighted tuple set: probability mass per tuple, in
@@ -46,19 +47,69 @@ pub struct OraclePropagation {
     pub backward: Mass,
 }
 
-/// All tuples joinable from `t` along one step, straight from the
-/// catalog's foreign-key indexes.
-fn step_neighbors(catalog: &Catalog, step: JoinStep, t: TupleRef) -> Vec<TupleRef> {
-    match step.dir {
-        Direction::Forward => catalog.follow_forward(step.fk, t).into_iter().collect(),
-        Direction::Backward => catalog.follow_backward(step.fk, t),
+/// Foreign-key adjacency derived from tuple values alone: forward through
+/// the referenced relation's key index, backward through a value →
+/// referrers index built here. It never reads the catalog's resolved
+/// foreign-key columns, so differential tests check them instead of
+/// sharing them.
+#[derive(Debug)]
+pub struct Adjacency<'a> {
+    catalog: &'a Catalog,
+    /// Per FK edge: referencing tuples by foreign-key value, ascending.
+    referrers: Vec<BTreeMap<&'a Value, Vec<TupleId>>>,
+}
+
+impl<'a> Adjacency<'a> {
+    /// Index every foreign-key value of `catalog`'s tuples.
+    pub fn new(catalog: &'a Catalog) -> Self {
+        let referrers = catalog
+            .fk_edges()
+            .iter()
+            .map(|edge| {
+                let mut index: BTreeMap<&Value, Vec<TupleId>> = BTreeMap::new();
+                for (tid, t) in catalog.relation(edge.from).iter() {
+                    let v = t.get(edge.attr);
+                    if !v.is_null() {
+                        index.entry(v).or_default().push(tid);
+                    }
+                }
+                index
+            })
+            .collect();
+        Adjacency { catalog, referrers }
+    }
+
+    /// All tuples joinable from `t` along one step, in tuple order.
+    pub fn step_neighbors(&self, step: JoinStep, t: TupleRef) -> Vec<TupleRef> {
+        let edge = self.catalog.fk(step.fk);
+        match step.dir {
+            Direction::Forward => {
+                let v = self.catalog.value(t, edge.attr);
+                if v.is_null() {
+                    return Vec::new();
+                }
+                let to = self.catalog.relation(edge.to).by_key(v);
+                to.map(|tid| TupleRef::new(edge.to, tid))
+                    .into_iter()
+                    .collect()
+            }
+            Direction::Backward => {
+                let key = self.catalog.value(t, edge.to_key);
+                self.referrers[step.fk.index()]
+                    .get(key)
+                    .map_or(&[][..], Vec::as_slice)
+                    .iter()
+                    .map(|&tid| TupleRef::new(edge.from, tid))
+                    .collect()
+            }
+        }
     }
 }
 
 /// Recursively enumerate forward walks from `t`, carrying the accumulated
 /// probability `p`, and add each completed walk's mass to `out`.
 fn forward_walks(
-    catalog: &Catalog,
+    adj: &Adjacency<'_>,
     steps: &[JoinStep],
     t: TupleRef,
     p: f64,
@@ -70,7 +121,7 @@ fn forward_walks(
             *out.entry(t).or_insert(0.0) += p;
         }
         Some((step, rest)) => {
-            let nbrs = step_neighbors(catalog, *step, t);
+            let nbrs = adj.step_neighbors(*step, t);
             if nbrs.is_empty() {
                 return; // dead end: mass lost
             }
@@ -81,7 +132,7 @@ fn forward_walks(
                 if blocked.contains(&v) {
                     continue;
                 }
-                forward_walks(catalog, rest, v, share, blocked, out);
+                forward_walks(adj, rest, v, share, blocked, out);
             }
         }
     }
@@ -90,7 +141,7 @@ fn forward_walks(
 /// Recursively enumerate reverse walks from `t`; return the total
 /// probability of landing exactly on `origin`.
 fn reverse_walks(
-    catalog: &Catalog,
+    adj: &Adjacency<'_>,
     steps: &[JoinStep],
     t: TupleRef,
     p: f64,
@@ -106,7 +157,7 @@ fn reverse_walks(
             }
         }
         Some((step, rest)) => {
-            let nbrs = step_neighbors(catalog, *step, t);
+            let nbrs = adj.step_neighbors(*step, t);
             if nbrs.is_empty() {
                 return 0.0;
             }
@@ -116,7 +167,7 @@ fn reverse_walks(
                 if blocked.contains(&v) {
                     continue;
                 }
-                acc += reverse_walks(catalog, rest, v, share, blocked, origin);
+                acc += reverse_walks(adj, rest, v, share, blocked, origin);
             }
             acc
         }
@@ -129,19 +180,19 @@ fn reverse_walks(
 /// `origin` must be a tuple of the path's start relation. An empty path
 /// yields `{origin: 1.0}` in both directions.
 pub fn enumerate_propagation(
-    catalog: &Catalog,
+    adj: &Adjacency<'_>,
     path: &JoinPath,
     origin: TupleRef,
     blocked: &[TupleRef],
 ) -> OraclePropagation {
     let mut forward = Mass::new();
-    forward_walks(catalog, &path.steps, origin, 1.0, blocked, &mut forward);
+    forward_walks(adj, &path.steps, origin, 1.0, blocked, &mut forward);
 
     // Reverse the path: steps in reverse order, each direction flipped.
     let steps_rev: Vec<JoinStep> = path.steps.iter().rev().map(|s| s.reversed()).collect();
     let mut backward = Mass::new();
     for &t in forward.keys() {
-        let p = reverse_walks(catalog, &steps_rev, t, 1.0, blocked, origin);
+        let p = reverse_walks(adj, &steps_rev, t, 1.0, blocked, origin);
         backward.insert(t, p);
     }
     OraclePropagation { forward, backward }
@@ -231,7 +282,7 @@ mod tests {
     #[test]
     fn forward_matches_hand_computation() {
         let c = catalog();
-        let p = enumerate_propagation(&c, &coauthor_path(&c), publish(&c, 0), &[]);
+        let p = enumerate_propagation(&Adjacency::new(&c), &coauthor_path(&c), publish(&c, 0), &[]);
         // From (w, paper1): 1 → paper1 → its 3 records (1/3 each) → authors
         // w, x, y at 1/3 each.
         assert_eq!(p.forward.len(), 3);
@@ -246,7 +297,7 @@ mod tests {
     #[test]
     fn backward_matches_hand_computation() {
         let c = catalog();
-        let p = enumerate_propagation(&c, &coauthor_path(&c), publish(&c, 0), &[]);
+        let p = enumerate_propagation(&Adjacency::new(&c), &coauthor_path(&c), publish(&c, 0), &[]);
         // From x (1 record → paper1 → 3 records): landing on the origin
         // record has probability 1/3. From w (2 records, one branch can
         // reach the origin): 1/2 · 1/3 = 1/6.
@@ -259,7 +310,12 @@ mod tests {
         let c = catalog();
         // Origin (x, paper1), block author w: x and y keep exactly 1/3.
         let blocked = vec![author(&c, "w")];
-        let p = enumerate_propagation(&c, &coauthor_path(&c), publish(&c, 1), &blocked);
+        let p = enumerate_propagation(
+            &Adjacency::new(&c),
+            &coauthor_path(&c),
+            publish(&c, 1),
+            &blocked,
+        );
         assert!(!p.forward.contains_key(&blocked[0]));
         for name in ["x", "y"] {
             let v = p.forward[&author(&c, name)];
@@ -274,7 +330,12 @@ mod tests {
         let c = catalog();
         let publish_rel = c.relation_id("Publish").unwrap();
         let origin = publish(&c, 2);
-        let p = enumerate_propagation(&c, &JoinPath::empty(publish_rel), origin, &[]);
+        let p = enumerate_propagation(
+            &Adjacency::new(&c),
+            &JoinPath::empty(publish_rel),
+            origin,
+            &[],
+        );
         assert_eq!(p.forward.len(), 1);
         assert_eq!(p.forward[&origin], 1.0);
         assert_eq!(p.backward[&origin], 1.0);
@@ -285,7 +346,7 @@ mod tests {
         let c = catalog();
         let path = coauthor_path(&c);
         for idx in 0..5 {
-            let p = enumerate_propagation(&c, &path, publish(&c, idx), &[]);
+            let p = enumerate_propagation(&Adjacency::new(&c), &path, publish(&c, idx), &[]);
             assert_eq!(
                 p.forward.keys().collect::<Vec<_>>(),
                 p.backward.keys().collect::<Vec<_>>()

@@ -1,19 +1,24 @@
 //! Compact linkage graph over a finalized catalog.
 //!
 //! Probability propagation visits foreign-key neighborhoods millions of
-//! times; hash lookups in the catalog's indexes would dominate. The
-//! [`LinkGraph`] flattens every tuple into a dense `u32` node id and stores
-//! each foreign-key edge's adjacency in CSR (compressed sparse row) form,
-//! one forward table and one backward table per edge, so a traversal step
-//! is a slice lookup.
+//! times. The [`LinkGraph`] flattens every tuple into a dense `u32` node
+//! id and stores each foreign-key edge's adjacency as flat arrays: the
+//! forward table is the catalog's resolved column (at most one target
+//! per tuple) and the backward table its transpose in CSR (compressed
+//! sparse row) form, both shifted into node ids. A traversal step is a
+//! slice lookup, and building the graph is a copy of the catalog's
+//! arrays, with no value hashed.
 
-use relstore::{Catalog, Direction, FkId, FxHashMap, JoinStep, RelId, TupleId, TupleRef};
+use relstore::{Catalog, Direction, FkId, FkLinks, FxHashMap, JoinStep, RelId, TupleId, TupleRef};
 
 /// Dense node id: a tuple's position in the flattened catalog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
+    /// The forward slot of a tuple with no target (null or dangling).
+    const NONE: NodeId = NodeId(u32::MAX);
+
     /// The id as an index.
     #[inline]
     pub fn index(self) -> usize {
@@ -53,8 +58,9 @@ pub struct LinkGraph {
     /// Offset of each relation's tuples in the global node id space; one
     /// extra entry holds the build-time total node count.
     base: Vec<u32>,
-    /// Per FK edge: forward adjacency (source relation local id -> 0/1 target).
-    forward: Vec<Csr>,
+    /// Per FK edge: forward column (source relation local id -> target,
+    /// or [`NodeId::NONE`]).
+    forward: Vec<Vec<NodeId>>,
     /// Per FK edge: backward adjacency (target relation local id -> referrers).
     backward: Vec<Csr>,
     /// Appended tuples in append order; tuple `extra[k]` has node id
@@ -90,38 +96,37 @@ impl LinkGraph {
         }
         base.push(total);
 
-        let global = |t: TupleRef| NodeId(base[t.rel.index()] + t.tid.0);
-
         let mut forward = Vec::with_capacity(catalog.fk_edges().len());
         let mut backward = Vec::with_capacity(catalog.fk_edges().len());
         for edge in catalog.fk_edges() {
+            let links = catalog.links(edge.id);
+            let (from_base, to_base) = (base[edge.from.index()], base[edge.to.index()]);
             // Forward: each tuple of `from` points to <= 1 tuple of `to`.
-            let from_rel = catalog.relation(edge.from);
-            let mut f = Csr {
-                offsets: Vec::with_capacity(from_rel.len() + 1),
-                targets: Vec::new(),
-            };
-            f.offsets.push(0);
-            for (tid, _) in from_rel.iter() {
-                if let Some(t) = catalog.follow_forward(edge.id, TupleRef::new(edge.from, tid)) {
-                    f.targets.push(global(t));
-                }
-                f.offsets.push(f.targets.len() as u32);
-            }
+            forward.push(
+                links
+                    .targets()
+                    .iter()
+                    .map(|&t| match t {
+                        FkLinks::NONE => NodeId::NONE,
+                        t => NodeId(to_base + t),
+                    })
+                    .collect(),
+            );
             // Backward: each tuple of `to` points to all referrers in `from`.
-            let to_rel = catalog.relation(edge.to);
+            let to_len = catalog.relation(edge.to).len();
             let mut b = Csr {
-                offsets: Vec::with_capacity(to_rel.len() + 1),
-                targets: Vec::new(),
+                offsets: Vec::with_capacity(to_len + 1),
+                // Every linked forward slot is one referrer.
+                targets: Vec::with_capacity(links.targets().len()),
             };
             b.offsets.push(0);
-            for (tid, _) in to_rel.iter() {
-                for t in catalog.follow_backward(edge.id, TupleRef::new(edge.to, tid)) {
-                    b.targets.push(global(t));
+            for tid in 0..to_len as u32 {
+                for part in links.referrers(TupleId(tid)) {
+                    b.targets
+                        .extend(part.iter().map(|r| NodeId(from_base + r.0)));
                 }
                 b.offsets.push(b.targets.len() as u32);
             }
-            forward.push(f);
             backward.push(b);
         }
         LinkGraph {
@@ -296,7 +301,10 @@ impl LinkGraph {
         }
         let local = self.local(n, src_rel);
         match step.dir {
-            Direction::Forward => self.forward[step.fk.index()].neighbors(local),
+            Direction::Forward => match &self.forward[step.fk.index()][local] {
+                t if *t == NodeId::NONE => &[],
+                t => std::slice::from_ref(t),
+            },
             Direction::Backward => self.backward[step.fk.index()].neighbors(local),
         }
     }
@@ -312,7 +320,7 @@ impl LinkGraph {
         let csr = |c: &Csr| c.offsets.len() * 4 + c.targets.len() * 4;
         let over =
             |m: &FxHashMap<NodeId, Vec<NodeId>>| m.values().map(|v| 4 + 4 * v.len()).sum::<usize>(); // distinct-lint: allow(D107, reason="integer byte count; usize addition is order-independent")
-        self.forward.iter().map(csr).sum::<usize>()
+        self.forward.iter().map(|f| f.len() * 4).sum::<usize>()
             + self.backward.iter().map(csr).sum::<usize>()
             + self.fwd_over.iter().map(over).sum::<usize>()
             + self.bwd_over.iter().map(over).sum::<usize>()
@@ -403,10 +411,33 @@ mod tests {
     }
 
     #[test]
-    fn adjacency_matches_catalog() {
+    fn adjacency_matches_tuple_values() {
+        // Expected neighbors come from tuple values alone (the key index
+        // forward, a scan for equal values backward), not from the
+        // catalog's resolved columns the graph copies.
         let c = catalog();
         let g = LinkGraph::build(&c);
-        let publish = c.relation_id("Publish").unwrap();
+        let node = |rel, tid| g.node(TupleRef::new(rel, tid));
+        for edge in c.fk_edges() {
+            let (from, to) = (c.relation(edge.from), c.relation(edge.to));
+            for (tid, t) in from.iter() {
+                let target = to.by_key(t.get(edge.attr)).map(|k| node(edge.to, k));
+                let step = JoinStep::forward(edge.id);
+                let got = g.step_neighbors(step, node(edge.from, tid), edge.from);
+                assert_eq!(got, target.as_slice());
+            }
+            for (tid, t) in to.iter() {
+                let referrers: Vec<NodeId> = from
+                    .iter()
+                    .filter(|(_, r)| r.get(edge.attr) == t.get(edge.to_key))
+                    .map(|(s, _)| node(edge.from, s))
+                    .collect();
+                let step = JoinStep::backward(edge.id);
+                let got = g.step_neighbors(step, node(edge.to, tid), edge.to);
+                assert_eq!(got, referrers.as_slice());
+            }
+        }
+        // Paper 1 has two publish records, paper 3 one.
         let papers = c.relation_id("Papers").unwrap();
         let fk_p = c
             .fk_edges()
@@ -414,32 +445,11 @@ mod tests {
             .find(|e| e.label == "Publish.p->Papers")
             .unwrap()
             .id;
-
-        // Forward from each publish tuple: 1 paper.
-        for (tid, _) in c.relation(publish).iter() {
-            let t = TupleRef::new(publish, tid);
-            let expected: Vec<NodeId> = c
-                .follow_forward(fk_p, t)
-                .into_iter()
-                .map(|x| g.node(x))
-                .collect();
-            let got = g.step_neighbors(JoinStep::forward(fk_p), g.node(t), publish);
-            assert_eq!(got, expected.as_slice());
+        for (key, fanout) in [(1, 2), (3, 1)] {
+            let p = c.relation(papers).by_key(&Value::Int(key)).unwrap();
+            let n = node(papers, p);
+            assert_eq!(g.step_fanout(JoinStep::backward(fk_p), n, papers), fanout);
         }
-        // Backward from paper 1: two publish records.
-        let p1 = TupleRef::new(papers, c.relation(papers).by_key(&Value::Int(1)).unwrap());
-        let back = g.step_neighbors(JoinStep::backward(fk_p), g.node(p1), papers);
-        assert_eq!(back.len(), 2);
-        assert_eq!(
-            g.step_fanout(JoinStep::backward(fk_p), g.node(p1), papers),
-            2
-        );
-        // Paper 3 has one record, paper key space is dense.
-        let p3 = TupleRef::new(papers, c.relation(papers).by_key(&Value::Int(3)).unwrap());
-        assert_eq!(
-            g.step_fanout(JoinStep::backward(fk_p), g.node(p3), papers),
-            1
-        );
     }
 
     /// Every (tuple, edge, direction) adjacency of `g`, expressed in

@@ -26,5 +26,6 @@ pub use arena::{ArenaPool, IntersectionMatrix, SetArena};
 pub use graph::{LinkGraph, NodeId};
 pub use kernel::{directed_walk, resemblance, Row};
 pub use propagate::{
-    propagate, propagate_blocked, propagate_blocked_guarded, PathColumns, Propagation,
+    propagate, propagate_blocked, propagate_blocked_guarded, PathColumns, PropagateScratch,
+    Propagation,
 };

@@ -15,7 +15,7 @@
 
 use crate::graph::{LinkGraph, NodeId};
 use crate::kernel::Row;
-use relstore::{Catalog, FxHashMap, JoinPath, TupleRef};
+use relstore::{Catalog, FxHashMap, JoinPath, RelId, TupleRef};
 
 /// Sorted columns of one or more propagations, one run per join path.
 ///
@@ -129,6 +129,19 @@ impl Propagation {
     }
 }
 
+/// Reusable buffers of [`propagate_blocked_guarded`]: the per-level mass
+/// maps, the reverse-pass maps, the frontier sort buffer and the path's
+/// relation list. Every call clears what it uses (keeping the capacity),
+/// so no value depends on an earlier call.
+#[derive(Debug, Default)]
+pub struct PropagateScratch {
+    levels: Vec<FxHashMap<NodeId, f64>>,
+    g: FxHashMap<NodeId, f64>,
+    g_next: FxHashMap<NodeId, f64>,
+    expand: Vec<(NodeId, f64)>,
+    rels: Vec<RelId>,
+}
+
 /// Propagate probabilities from `origin` along `path`: one run.
 ///
 /// `origin` must be a tuple of the path's start relation. The catalog is
@@ -166,14 +179,16 @@ pub fn propagate_blocked(
         origin,
         blocked,
         &mut |_| true,
+        // distinct-lint: scratch(per call: the one-run convenience form owns a scratch for its single propagation and drops it on return)
+        &mut PropagateScratch::default(),
         &mut out,
     )
     .expect("permissive guard never stops propagation");
     out
 }
 
-/// Like [`propagate_blocked`], but cooperatively interruptible, and
-/// appending its run to `out`.
+/// Like [`propagate_blocked`], but cooperatively interruptible, working
+/// in `scratch`, and appending its run to `out`.
 ///
 /// `guard` is called once per propagation level (forward and backward) with
 /// the number of frontier entries about to be expanded — the unit of work
@@ -181,6 +196,7 @@ pub fn propagate_blocked(
 /// traversal: the function returns `None` and appends nothing (a
 /// half-propagated profile would silently distort similarity values, which
 /// is worse than having no profile).
+#[allow(clippy::too_many_arguments)]
 pub fn propagate_blocked_guarded(
     graph: &LinkGraph,
     catalog: &Catalog,
@@ -188,37 +204,50 @@ pub fn propagate_blocked_guarded(
     origin: TupleRef,
     blocked: &[NodeId],
     guard: &mut dyn FnMut(u64) -> bool,
+    scratch: &mut PropagateScratch,
     out: &mut Propagation,
 ) -> Option<()> {
     debug_assert_eq!(
         origin.rel, path.start,
         "origin tuple not in path start relation"
     );
-    let rels = path.relations(catalog);
+    let PropagateScratch {
+        levels,
+        g,
+        g_next,
+        expand,
+        rels,
+    } = scratch;
+    rels.clear();
+    rels.push(path.start);
+    rels.extend(path.steps.iter().map(|s| s.dest(catalog)));
 
     // Forward pass: `levels[i]` is the mass at level `i`, stored once and
     // read again by the backward pass.
-    let mut levels: Vec<FxHashMap<NodeId, f64>> = Vec::with_capacity(path.len() + 1);
-    let mut start: FxHashMap<NodeId, f64> = FxHashMap::default();
-    start.insert(graph.node(origin), 1.0);
-    levels.push(start);
-    // Hoisted sort scratch, refilled per level instead of reallocated
-    // (lint D110): each level clears it and re-extends from the frontier.
-    let mut expand: Vec<(NodeId, f64)> = Vec::new();
+    if levels.len() <= path.len() {
+        levels.resize_with(path.len() + 1, FxHashMap::default);
+    }
+    for level in &mut levels[..=path.len()] {
+        level.clear();
+    }
+    if let Some(start) = levels.first_mut() {
+        start.insert(graph.node(origin), 1.0);
+    }
     for (i, step) in path.steps.iter().enumerate() {
         if !guard(levels[i].len() as u64) {
             return None;
         }
+        let mut next = std::mem::take(&mut levels[i + 1]);
+        let cur = &levels[i];
         let src_rel = rels[i];
-        let mut next: FxHashMap<NodeId, f64> = FxHashMap::default();
         // Expand the frontier in ascending node order: several sources can
         // deposit mass on the same target, and f64 `+=` is order-sensitive,
         // so hash-order expansion would make the low-order bits of `next`
-        // depend on the frontier map's insertion history (lint D001).
+        // depend on the frontier map's insertion history.
         expand.clear();
-        expand.extend(levels[i].iter().map(|(&u, &p)| (u, p)));
+        expand.extend(cur.iter().map(|(&u, &p)| (u, p)));
         expand.sort_unstable_by_key(|&(u, _)| u);
-        for &(u, p) in &expand {
+        for &(u, p) in expand.iter() {
             let nbrs = graph.step_neighbors(*step, u, src_rel);
             if nbrs.is_empty() {
                 continue; // dead end: mass is lost (e.g. null FK)
@@ -231,14 +260,14 @@ pub fn propagate_blocked_guarded(
                 *next.entry(v).or_insert(0.0) += share;
             }
         }
-        levels.push(next);
+        levels[i + 1] = next;
     }
 
     // Backward pass: g_i(u) = P(reverse walk from u at level i reaches origin).
     // g_0(origin) = 1; g_i(u) = (Σ_{v ∈ rev(u)} g_{i-1}(v)) / |rev(u)| where
     // rev(u) enumerates *all* reverse-step neighbors of u (tuples off every
     // path to the origin contribute 0).
-    let mut g: FxHashMap<NodeId, f64> = FxHashMap::default();
+    g.clear();
     g.insert(graph.node(origin), 1.0);
     for (i, step) in path.steps.iter().enumerate() {
         if !guard(levels[i + 1].len() as u64) {
@@ -246,7 +275,7 @@ pub fn propagate_blocked_guarded(
         }
         let rev = step.reversed();
         let rev_src_rel = rels[i + 1];
-        let mut g_next: FxHashMap<NodeId, f64> = FxHashMap::default();
+        g_next.clear();
         // Each `u` gets an independent entry and `acc` sums over the
         // deterministic reverse-neighbor slice, so iteration order cannot
         // affect any value — only the map's (unobserved) internal layout.
@@ -263,7 +292,7 @@ pub fn propagate_blocked_guarded(
                 g_next.insert(u, acc / nbrs.len() as f64);
             }
         }
-        g = g_next;
+        std::mem::swap(g, g_next);
     }
 
     // The run: reached nodes ascending, both masses side by side. Every
@@ -445,9 +474,19 @@ mod tests {
         let path = coauthor_path(&c);
         let (a, b) = (publish_tuple(&c, 0), publish_tuple(&c, 3));
         let mut both = Propagation::new();
+        let mut scratch = PropagateScratch::default();
         for origin in [a, b] {
-            propagate_blocked_guarded(&g, &c, &path, origin, &[], &mut |_| true, &mut both)
-                .unwrap();
+            propagate_blocked_guarded(
+                &g,
+                &c,
+                &path,
+                origin,
+                &[],
+                &mut |_| true,
+                &mut scratch,
+                &mut both,
+            )
+            .unwrap();
         }
         assert_eq!(both.paths(), 2);
         let (pa, pb) = (propagate(&g, &c, &path, a), propagate(&g, &c, &path, b));
@@ -571,7 +610,17 @@ mod tests {
             assert!(u > 0);
             true
         };
-        propagate_blocked_guarded(&g, &c, &path, origin, &[], &mut count, &mut got).unwrap();
+        propagate_blocked_guarded(
+            &g,
+            &c,
+            &path,
+            origin,
+            &[],
+            &mut count,
+            &mut PropagateScratch::default(),
+            &mut got,
+        )
+        .unwrap();
         assert_eq!(got, full);
         assert_eq!(calls as usize, 2 * path.len());
         // Tripping the guard at every possible level returns None and
@@ -583,7 +632,16 @@ mod tests {
                 n < stop_at
             };
             let mut out = Propagation::new();
-            let done = propagate_blocked_guarded(&g, &c, &path, origin, &[], &mut stop, &mut out);
+            let done = propagate_blocked_guarded(
+                &g,
+                &c,
+                &path,
+                origin,
+                &[],
+                &mut stop,
+                &mut PropagateScratch::default(),
+                &mut out,
+            );
             assert!(
                 done.is_none(),
                 "stop_at {stop_at} returned a partial result"

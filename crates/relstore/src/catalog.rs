@@ -2,15 +2,21 @@
 //!
 //! The catalog is the unit the rest of the system operates on. After all
 //! relations are registered and populated, call [`Catalog::finalize`]: it
-//! resolves foreign-key targets, builds the reverse foreign-key indexes
-//! required for join-path traversal, and (optionally) checks referential
-//! integrity.
+//! resolves foreign-key declarations into edges, resolves every
+//! foreign-key *value* once into a column of target tuple ids, transposes
+//! that column into the backward (target → referrers) adjacency, and
+//! (optionally) checks referential integrity. Traversal reads these
+//! arrays; it never looks an attribute value up.
+//!
+//! Relations only grow, so a later finalize extends the arrays instead of
+//! rebuilding them: its cost is the number of tuples inserted since the
+//! previous one, plus the slots still waiting for their key.
 
 use crate::error::{Result, StoreError};
 use crate::fxhash::FxHashMap;
 use crate::relation::Relation;
 use crate::schema::RelationSchema;
-use crate::tuple::{RelId, Tuple, TupleRef};
+use crate::tuple::{RelId, Tuple, TupleId, TupleRef};
 use crate::value::Value;
 use std::fmt;
 
@@ -43,12 +49,171 @@ pub struct FkEdge {
     pub label: String,
 }
 
+impl FkEdge {
+    /// Whether two edges link the same attribute to the same key.
+    fn same_link(&self, other: &FkEdge) -> bool {
+        (self.from, self.attr, self.to, self.to_key)
+            == (other.from, other.attr, other.to, other.to_key)
+    }
+}
+
+/// One foreign-key edge's adjacency, resolved from its values once.
+///
+/// Forward, a column holds each referencing tuple's target tuple id. The
+/// backward adjacency is that column's counting-sort transpose (CSR rows
+/// over the referenced relation, referrers ascending), plus a tail for
+/// the referrers linked after the transpose: a later finalize appends to
+/// the tail and never rebuilds the rows.
+#[derive(Debug, Clone, Default)]
+pub struct FkLinks {
+    /// Per referencing tuple: the referenced tuple id, or [`FkLinks::NONE`]
+    /// for a null or dangling value.
+    targets: Vec<u32>,
+    /// Referencing tuples whose non-null value matched no key yet,
+    /// ascending; each finalize probes them again.
+    dangling: Vec<u32>,
+    /// Transpose rows: row `t` is `referrers[offsets[t]..offsets[t + 1]]`.
+    /// Empty until the first transpose.
+    offsets: Vec<u32>,
+    referrers: Vec<TupleId>,
+    /// Referrers linked after the transpose, per referenced tuple,
+    /// ascending.
+    tail: FxHashMap<u32, Vec<TupleId>>,
+}
+
+impl FkLinks {
+    /// The forward slot of a tuple with no target.
+    pub const NONE: u32 = u32::MAX;
+
+    /// Links whose forward column is already resolved (no slot dangles);
+    /// the next finalize transposes it.
+    pub(crate) fn resolved(targets: Vec<u32>) -> Self {
+        FkLinks {
+            targets,
+            ..FkLinks::default()
+        }
+    }
+
+    /// The forward column: per referencing tuple linked so far, its target
+    /// tuple id or [`FkLinks::NONE`].
+    pub fn targets(&self) -> &[u32] {
+        &self.targets
+    }
+
+    /// The target of referencing tuple `tid`, if it has one.
+    #[inline]
+    pub(crate) fn target(&self, tid: TupleId) -> Option<TupleId> {
+        match self.targets.get(tid.index()) {
+            Some(&t) if t != Self::NONE => Some(TupleId(t)),
+            _ => None,
+        }
+    }
+
+    /// The referrers of referenced tuple `tid`, ascending: the transposed
+    /// row, then the tail (every tail entry is larger than the row's).
+    #[inline]
+    pub fn referrers(&self, tid: TupleId) -> [&[TupleId]; 2] {
+        let t = tid.index();
+        let row = match self.offsets.get(t..t + 2) {
+            Some(&[lo, hi]) => &self.referrers[lo as usize..hi as usize],
+            _ => &[],
+        };
+        let tail = if self.tail.is_empty() {
+            &[]
+        } else {
+            self.tail.get(&tid.0).map_or(&[][..], Vec::as_slice)
+        };
+        [row, tail]
+    }
+
+    /// Link the tuples `from` gained since the last call, and the slots
+    /// left dangling then whose key `to` has since gained.
+    ///
+    /// Referrer order stays ascending without a sort: a dangling slot can
+    /// only resolve to a tuple inserted after it was probed (keys never
+    /// change), whose referrers all arrive from here on; re-probed slots
+    /// precede every new slot; and new slots arrive in tuple order.
+    fn link(&mut self, from: &Relation, attr: usize, to: &Relation) {
+        let linked = self.targets.len();
+        let transposed = !self.offsets.is_empty();
+        let mut fresh: Vec<u32> = Vec::new();
+        let targets = &mut self.targets;
+        self.dangling
+            .retain(|&s| match to.by_key(from.tuple(TupleId(s)).get(attr)) {
+                Some(t) => {
+                    targets[s as usize] = t.0;
+                    fresh.push(s);
+                    false
+                }
+                None => true,
+            });
+        targets.reserve(from.len() - linked);
+        for s in linked as u32..from.len() as u32 {
+            // No key is null, so a null value finds no target either.
+            let v = from.tuple(TupleId(s)).get(attr);
+            match to.by_key(v) {
+                Some(t) => {
+                    targets.push(t.0);
+                    if transposed {
+                        fresh.push(s);
+                    }
+                }
+                None => {
+                    targets.push(Self::NONE);
+                    if !v.is_null() {
+                        self.dangling.push(s);
+                    }
+                }
+            }
+        }
+        if !transposed {
+            self.transpose(to.len());
+            return;
+        }
+        for s in fresh {
+            let t = self.targets[s as usize];
+            // distinct-lint: allow(D113, reason="the backward tail is the adjacency of tuples appended to the corpus; it lives as long as the catalog")
+            self.tail.entry(t).or_default().push(TupleId(s));
+        }
+    }
+
+    /// Counting-sort transpose of the forward column into `rows` rows.
+    fn transpose(&mut self, rows: usize) {
+        let mut offsets = vec![0u32; rows + 1];
+        for &t in &self.targets {
+            if t != Self::NONE {
+                offsets[t as usize + 1] += 1;
+            }
+        }
+        for i in 0..rows {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut next = offsets[..rows].to_vec();
+        let mut referrers = vec![TupleId(0); offsets[rows] as usize];
+        for (s, &t) in self.targets.iter().enumerate() {
+            if t != Self::NONE {
+                let at = &mut next[t as usize];
+                referrers[*at as usize] = TupleId(s as u32);
+                *at += 1;
+            }
+        }
+        self.offsets = offsets;
+        self.referrers = referrers;
+    }
+}
+
 /// A populated, linked relational database.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     relations: Vec<Relation>,
     by_name: FxHashMap<String, RelId>,
     fks: Vec<FkEdge>,
+    /// Per FK edge (aligned with `fks`): its resolved adjacency.
+    links: Vec<FkLinks>,
+    /// Forward columns resolved before the edges exist (by value
+    /// expansion), keyed by referencing relation and attribute; the next
+    /// finalize adopts them instead of probing.
+    seeded: Vec<((RelId, usize), FkLinks)>,
     /// Outgoing FK edge ids per relation.
     out_edges: Vec<Vec<FkId>>,
     /// Incoming FK edge ids per relation.
@@ -64,16 +229,27 @@ impl Catalog {
 
     /// Register a relation schema, returning the relation id.
     pub fn add_relation(&mut self, schema: RelationSchema) -> Result<RelId> {
-        if self.by_name.contains_key(&schema.name) {
-            return Err(StoreError::DuplicateRelation(schema.name));
+        self.add_populated(Relation::new(schema))
+    }
+
+    /// Register a relation together with its stored tuples.
+    pub(crate) fn add_populated(&mut self, relation: Relation) -> Result<RelId> {
+        if self.by_name.contains_key(relation.name()) {
+            return Err(StoreError::DuplicateRelation(relation.name().to_string()));
         }
         let id = RelId(self.relations.len() as u32);
-        self.by_name.insert(schema.name.clone(), id);
-        self.relations.push(Relation::new(schema));
+        self.by_name.insert(relation.name().to_string(), id);
+        self.relations.push(relation);
         self.out_edges.push(Vec::new());
         self.in_edges.push(Vec::new());
         self.finalized = false;
         Ok(id)
+    }
+
+    /// Hand the next finalize the adjacency of `from.attr`, already
+    /// resolved: it is adopted as is instead of probed value by value.
+    pub(crate) fn seed_links(&mut self, from: RelId, attr: usize, links: FkLinks) {
+        self.seeded.push(((from, attr), links));
     }
 
     /// Number of relations.
@@ -121,82 +297,91 @@ impl Catalog {
         Ok(TupleRef::new(rel, tid))
     }
 
-    /// Resolve foreign keys, build reverse FK indexes, and optionally verify
-    /// referential integrity (`check_integrity`).
+    /// Resolve foreign-key declarations into edges, link every tuple
+    /// inserted since the last call (and every slot still dangling), and
+    /// optionally verify referential integrity (`check_integrity`): no
+    /// non-null foreign-key value may be left without its key.
     ///
-    /// Must be called after loading and before traversal; it is idempotent.
+    /// Must be called after loading and before traversal; it is
+    /// idempotent, and its cost is that of the tuples it links.
     pub fn finalize(&mut self, check_integrity: bool) -> Result<()> {
-        self.fks.clear();
-        for edges in self.out_edges.iter_mut().chain(self.in_edges.iter_mut()) {
-            edges.clear();
-        }
-        // Resolve FK declarations into edges.
-        let mut resolved: Vec<(RelId, usize, RelId, usize, String)> = Vec::new();
+        let mut fks: Vec<FkEdge> = Vec::new();
         for (rid, rel) in self.relations.iter().enumerate() {
-            let rid = RelId(rid as u32);
-            let fk_list: Vec<(usize, String)> = rel
-                .schema()
-                .foreign_keys()
-                .map(|(a, t)| (a, t.to_string()))
-                .collect();
-            for (attr, target) in fk_list {
-                let to =
-                    self.relation_id(&target)
-                        .ok_or_else(|| StoreError::InvalidForeignKey {
-                            relation: rel.name().to_string(),
-                            attribute: rel.schema().attributes[attr].name.clone(),
-                            reason: format!("target relation `{target}` does not exist"),
-                        })?;
+            for (attr, target) in rel.schema().foreign_keys() {
+                let invalid = |reason: String| StoreError::InvalidForeignKey {
+                    relation: rel.name().to_string(),
+                    attribute: rel.schema().attributes[attr].name.clone(),
+                    reason,
+                };
+                let to = self
+                    .relation_id(target)
+                    .ok_or_else(|| invalid(format!("target relation `{target}` does not exist")))?;
                 let to_key = self.relations[to.index()]
                     .schema()
                     .key_index()
-                    .ok_or_else(|| StoreError::InvalidForeignKey {
-                        relation: rel.name().to_string(),
-                        attribute: rel.schema().attributes[attr].name.clone(),
-                        reason: format!("target relation `{target}` declares no key"),
+                    .ok_or_else(|| {
+                        invalid(format!("target relation `{target}` declares no key"))
                     })?;
-                let label = format!(
-                    "{}.{}->{}",
-                    rel.name(),
-                    rel.schema().attributes[attr].name,
-                    target
-                );
-                resolved.push((rid, attr, to, to_key, label));
+                fks.push(FkEdge {
+                    id: FkId(fks.len() as u32),
+                    from: RelId(rid as u32),
+                    attr,
+                    to,
+                    to_key,
+                    label: format!(
+                        "{}.{}->{}",
+                        rel.name(),
+                        rel.schema().attributes[attr].name,
+                        target
+                    ),
+                });
             }
         }
-        for (from, attr, to, to_key, label) in resolved {
-            let id = FkId(self.fks.len() as u32);
-            self.fks.push(FkEdge {
-                id,
-                from,
-                attr,
-                to,
-                to_key,
-                label,
-            });
-            // distinct-lint: allow(D113, reason="FK adjacency tracks corpus size one edge per inserted tuple; rebuilt only with the catalog")
-            self.out_edges[from.index()].push(id);
-            // distinct-lint: allow(D113, reason="FK adjacency tracks corpus size one edge per inserted tuple; rebuilt only with the catalog")
-            self.in_edges[to.index()].push(id);
-            // Reverse traversal (target -> referrers) needs an index on the
-            // FK attribute of the referencing relation.
-            if !self.relations[from.index()].has_index(attr) {
-                self.relations[from.index()].build_index(attr);
-            }
+        // Keep the adjacency of every edge that survives unchanged (edges
+        // are numbered in relation order, so registering a relation only
+        // appends); adopt a seeded column or start empty otherwise.
+        let mut old = std::mem::take(&mut self.links).into_iter();
+        let mut links = Vec::with_capacity(fks.len());
+        for (i, edge) in fks.iter().enumerate() {
+            let kept = old
+                .next()
+                .filter(|_| self.fks.get(i).is_some_and(|e| e.same_link(edge)));
+            let seeded = || {
+                let at = self
+                    .seeded
+                    .iter()
+                    .position(|(k, _)| *k == (edge.from, edge.attr))?;
+                Some(self.seeded.swap_remove(at).1)
+            };
+            let mut l = kept.or_else(seeded).unwrap_or_default();
+            l.link(
+                &self.relations[edge.from.index()],
+                edge.attr,
+                &self.relations[edge.to.index()],
+            );
+            links.push(l);
         }
+        self.seeded.clear();
+        for edges in self.out_edges.iter_mut().chain(self.in_edges.iter_mut()) {
+            edges.clear();
+        }
+        for edge in &fks {
+            // distinct-lint: allow(D113, reason="FK adjacency tracks the schema, one entry per edge; rebuilt only with the catalog")
+            self.out_edges[edge.from.index()].push(edge.id);
+            // distinct-lint: allow(D113, reason="FK adjacency tracks the schema, one entry per edge; rebuilt only with the catalog")
+            self.in_edges[edge.to.index()].push(edge.id);
+        }
+        self.fks = fks;
+        self.links = links;
         if check_integrity {
-            for fk in &self.fks {
-                let from_rel = &self.relations[fk.from.index()];
-                let to_rel = &self.relations[fk.to.index()];
-                for (_, t) in from_rel.iter() {
-                    let v = t.get(fk.attr);
-                    if !v.is_null() && to_rel.by_key(v).is_none() {
-                        return Err(StoreError::DanglingForeignKey {
-                            relation: from_rel.name().to_string(),
-                            attribute: from_rel.schema().attributes[fk.attr].name.clone(),
-                            value: v.to_string(),
-                        });
-                    }
+            for (fk, l) in self.fks.iter().zip(&self.links) {
+                if let Some(&s) = l.dangling.first() {
+                    let from_rel = &self.relations[fk.from.index()];
+                    return Err(StoreError::DanglingForeignKey {
+                        relation: from_rel.name().to_string(),
+                        attribute: from_rel.schema().attributes[fk.attr].name.clone(),
+                        value: from_rel.tuple(TupleId(s)).get(fk.attr).to_string(),
+                    });
                 }
             }
         }
@@ -219,6 +404,11 @@ impl Catalog {
         &self.fks[id.index()]
     }
 
+    /// The resolved adjacency of edge `fk`, as of the last finalize.
+    pub fn links(&self, fk: FkId) -> &FkLinks {
+        &self.links[fk.index()]
+    }
+
     /// FK edges leaving `rel` (rel is the referencing side).
     pub fn out_edges(&self, rel: RelId) -> &[FkId] {
         &self.out_edges[rel.index()]
@@ -231,42 +421,65 @@ impl Catalog {
 
     /// Follow edge `fk` forward from a tuple of the referencing relation:
     /// the single target tuple whose key equals the FK value (if any).
+    /// Tuples inserted after the last finalize have no target yet.
     pub fn follow_forward(&self, fk: FkId, t: TupleRef) -> Option<TupleRef> {
         let edge = self.fk(fk);
         debug_assert_eq!(t.rel, edge.from, "tuple not in FK source relation");
-        let v = self.relations[edge.from.index()]
-            .tuple(t.tid)
-            .get(edge.attr);
-        if v.is_null() {
-            return None;
-        }
-        self.relations[edge.to.index()]
-            .by_key(v)
+        self.links(fk)
+            .target(t.tid)
             .map(|tid| TupleRef::new(edge.to, tid))
     }
 
     /// Follow edge `fk` backward from a tuple of the referenced relation:
-    /// all referrer tuples whose FK value equals this tuple's key.
+    /// all referrer tuples whose FK value equals this tuple's key, in
+    /// ascending tuple order, as of the last finalize.
     pub fn follow_backward(&self, fk: FkId, t: TupleRef) -> Vec<TupleRef> {
         let edge = self.fk(fk);
         debug_assert_eq!(t.rel, edge.to, "tuple not in FK target relation");
-        let key = self.relations[edge.to.index()]
-            .tuple(t.tid)
-            .get(edge.to_key);
-        self.relations[edge.from.index()]
-            .lookup(edge.attr, key)
-            .into_iter()
-            .map(|tid| TupleRef::new(edge.from, tid))
+        let [row, tail] = self.links(fk).referrers(t.tid);
+        row.iter()
+            .chain(tail)
+            .map(|&tid| TupleRef::new(edge.from, tid))
             .collect()
     }
 
     /// Fanout of backward traversal without materializing the tuples.
     pub fn backward_count(&self, fk: FkId, t: TupleRef) -> usize {
+        let [row, tail] = self.links(fk).referrers(t.tid);
+        row.len() + tail.len()
+    }
+
+    /// The tuples of `fk`'s referencing relation whose foreign-key value
+    /// equals `value`, ascending — including tuples inserted since the
+    /// last finalize, which the adjacency does not cover yet.
+    pub fn referrers_of(&self, fk: FkId, value: &Value) -> Vec<TupleId> {
+        if value.is_null() {
+            return Vec::new();
+        }
         let edge = self.fk(fk);
-        let key = self.relations[edge.to.index()]
-            .tuple(t.tid)
-            .get(edge.to_key);
-        self.relations[edge.from.index()].lookup_count(edge.attr, key)
+        let from = self.relation(edge.from);
+        let l = self.links(fk);
+        let mut out = match self.relation(edge.to).by_key(value) {
+            Some(t) => l.referrers(t).concat(),
+            None => Vec::new(),
+        };
+        // A slot links to its key only at the finalize after the key
+        // arrives, and a tuple only at the finalize after its insert.
+        let unlinked = l
+            .dangling
+            .iter()
+            .copied()
+            .chain(l.targets.len() as u32..from.len() as u32);
+        let before = out.len();
+        out.extend(
+            unlinked
+                .map(TupleId)
+                .filter(|&s| from.tuple(s).get(edge.attr) == value),
+        );
+        if out.len() > before {
+            out.sort_unstable();
+        }
+        out
     }
 
     /// The value of attribute `attr` of a tuple.
@@ -358,7 +571,7 @@ mod tests {
     }
 
     #[test]
-    fn finalize_builds_edges_and_indexes() {
+    fn finalize_builds_edges_and_columns() {
         let mut c = tiny();
         assert!(!c.is_finalized());
         c.finalize(true).unwrap();
@@ -370,7 +583,51 @@ mod tests {
         let venues = c.relation_id("Venues").unwrap();
         assert_eq!(c.out_edges(papers), &[fk.id]);
         assert_eq!(c.in_edges(venues), &[fk.id]);
-        assert!(c.relation(papers).has_index(1));
+        // Papers 1, 2 -> VLDB (venue 0); paper 3 -> KDD (venue 1).
+        let links = c.links(fk.id);
+        assert_eq!(links.targets(), &[0, 0, 1]);
+        assert_eq!(
+            links.referrers(TupleId(0)),
+            [&[TupleId(0), TupleId(1)][..], &[]]
+        );
+        assert_eq!(links.referrers(TupleId(1)), [&[TupleId(2)][..], &[]]);
+    }
+
+    #[test]
+    fn refinalize_extends_columns_and_keeps_referrers_ascending() {
+        let mut c = tiny();
+        // Paper 4 dangles until ICDE arrives; paper 5 and 6 come later.
+        c.insert("Papers", [Value::Int(4), Value::str("ICDE")].into())
+            .unwrap();
+        c.finalize(false).unwrap();
+        let fk = c.fk_edges()[0].id;
+        let papers = c.relation_id("Papers").unwrap();
+        let venues = c.relation_id("Venues").unwrap();
+        let p = |i: u32| TupleRef::new(papers, TupleId(i));
+        assert_eq!(c.follow_forward(fk, p(3)), None);
+        c.insert("Papers", [Value::Int(5), Value::str("VLDB")].into())
+            .unwrap();
+        let icde = c.insert("Venues", [Value::str("ICDE")].into()).unwrap();
+        c.insert("Papers", [Value::Int(6), Value::str("ICDE")].into())
+            .unwrap();
+        // Not linked until the next finalize, but found by value.
+        assert_eq!(c.follow_backward(fk, icde), vec![]);
+        assert_eq!(
+            c.referrers_of(fk, &Value::str("ICDE")),
+            vec![TupleId(3), TupleId(5)]
+        );
+        c.finalize(true).unwrap();
+        c.finalize(true).unwrap(); // idempotent
+        assert_eq!(c.follow_forward(fk, p(3)), Some(icde));
+        assert_eq!(c.follow_backward(fk, icde), vec![p(3), p(5)]);
+        let vldb = TupleRef::new(venues, TupleId(0));
+        assert_eq!(c.follow_backward(fk, vldb), vec![p(0), p(1), p(4)]);
+        assert_eq!(c.backward_count(fk, vldb), 3);
+        assert_eq!(
+            c.referrers_of(fk, &Value::str("VLDB")),
+            vec![TupleId(0), TupleId(1), TupleId(4)]
+        );
+        assert_eq!(c.referrers_of(fk, &Value::Null), vec![]);
     }
 
     #[test]

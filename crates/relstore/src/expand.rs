@@ -11,10 +11,10 @@
 //! expansion, one uniform join-path machinery covers both tuple linkage and
 //! attribute-value sharing.
 
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, FkLinks};
 use crate::error::Result;
-use crate::schema::{AttrRole, RelationSchema};
-use crate::tuple::Tuple;
+use crate::relation::Relation;
+use crate::schema::{AttrRole, Attribute, RelationSchema};
 use crate::value::Value;
 
 /// Report of one expanded attribute.
@@ -46,55 +46,75 @@ pub fn pseudo_relation_name(relation: &str, attribute: &str) -> String {
     format!("{relation}#{attribute}")
 }
 
+/// The distinct non-null values of attribute `attr`, ascending, and the
+/// forward column into them: one sort of `(value, tuple id)` pairs.
+///
+/// Equal values that differ in representation (`-0.0` and `+0.0`) form
+/// one class, represented by its first tuple's value; the tuple-id tie
+/// break puts that tuple first.
+fn distinct_values(rel: &Relation, attr: usize) -> (Vec<Value>, Vec<u32>) {
+    let mut pairs: Vec<(&Value, u32)> = rel
+        .iter()
+        .map(|(tid, t)| (t.get(attr), tid.0))
+        .filter(|(v, _)| !v.is_null())
+        .collect();
+    pairs.sort_unstable();
+    let mut values: Vec<Value> = Vec::new();
+    let mut column = vec![FkLinks::NONE; rel.len()];
+    for (v, tid) in pairs {
+        if values.last() != Some(v) {
+            values.push(v.clone());
+        }
+        column[tid as usize] = (values.len() - 1) as u32;
+    }
+    (values, column)
+}
+
 /// Rewrite `catalog` so every data attribute becomes a foreign key into a
 /// pseudo-relation of its distinct values.
 ///
-/// The input catalog does not need to be finalized; the output is finalized
-/// with integrity checking on (expansion cannot dangle by construction, and
-/// original foreign keys are revalidated).
+/// Original relations keep their tuples (copied as stored, not validated
+/// again), and pseudo-relations number their values in ascending order.
+/// The input catalog does not need to be finalized; the output is
+/// finalized with integrity checking on (expansion cannot dangle by
+/// construction, and original foreign keys are revalidated). A finalized
+/// input hands over its resolved foreign-key columns instead of having
+/// them probed again.
 pub fn expand_values(catalog: &Catalog) -> Result<Expanded> {
     let mut out = Catalog::new();
     let mut expanded = Vec::new();
 
-    // Pass 1: register original relations with data attrs rewritten to FKs.
+    // Pass 1: original relations with data attrs rewritten to FKs.
     for (_, rel) in catalog.relations() {
         let mut attrs = rel.schema().attributes.clone();
         for idx in rel.schema().data_attrs().collect::<Vec<_>>() {
             let pseudo = pseudo_relation_name(rel.name(), &attrs[idx].name);
             attrs[idx].role = AttrRole::ForeignKey { target: pseudo };
         }
-        out.add_relation(RelationSchema::new(rel.name(), attrs)?)?;
+        out.add_populated(rel.retyped(RelationSchema::new(rel.name(), attrs)?))?;
+    }
+    if catalog.is_finalized() {
+        for edge in catalog.fk_edges() {
+            out.seed_links(edge.from, edge.attr, catalog.links(edge.id).clone());
+        }
     }
 
-    // Pass 2: register pseudo-relations and collect their value sets.
-    for (_, rel) in catalog.relations() {
+    // Pass 2: pseudo-relations, each with the forward column into it.
+    for (rid, rel) in catalog.relations() {
         for idx in rel.schema().data_attrs() {
             let attr = &rel.schema().attributes[idx];
             let pseudo = pseudo_relation_name(rel.name(), &attr.name);
-            let schema = RelationSchema::new(
-                pseudo.clone(),
-                vec![crate::schema::Attribute::key("value", attr.ty)],
-            )?;
-            out.add_relation(schema)?;
-            let mut values: Vec<Value> = rel.value_counts(idx).into_keys().collect();
-            values.sort();
-            let n = values.len();
-            for v in values {
-                out.insert(&pseudo, Tuple::new(vec![v]))?;
-            }
+            let schema =
+                RelationSchema::new(pseudo.clone(), vec![Attribute::key("value", attr.ty)])?;
+            let (values, column) = distinct_values(rel, idx);
             expanded.push(ExpandedAttr {
                 relation: rel.name().to_string(),
                 attribute: attr.name.clone(),
                 pseudo_relation: pseudo,
-                distinct_values: n,
+                distinct_values: values.len(),
             });
-        }
-    }
-
-    // Pass 3: copy tuples (values are unchanged — the FK *is* the value).
-    for (_, rel) in catalog.relations() {
-        for (_, t) in rel.iter() {
-            out.insert(rel.name(), t.clone())?;
+            out.add_populated(Relation::from_keys(schema, values))?;
+            out.seed_links(rid, idx, FkLinks::resolved(column));
         }
     }
 
@@ -109,7 +129,7 @@ pub fn expand_values(catalog: &Catalog) -> Result<Expanded> {
 mod tests {
     use super::*;
     use crate::schema::SchemaBuilder;
-    use crate::tuple::TupleRef;
+    use crate::tuple::{TupleId, TupleRef};
     use crate::value::AttrType;
 
     fn catalog() -> Catalog {
@@ -193,6 +213,39 @@ mod tests {
         let fk = c.fk_edges().iter().find(|e| e.from == conf).unwrap();
         let mystery = c.relation(conf).by_key(&Value::str("Mystery")).unwrap();
         assert_eq!(c.follow_forward(fk.id, TupleRef::new(conf, mystery)), None);
+    }
+
+    #[test]
+    fn equal_values_keep_the_first_tuples_spelling() {
+        // -0.0 and +0.0 are one value: one pseudo-tuple, spelled as the
+        // first tuple holding it spells it, linked from both tuples.
+        let mut c = Catalog::new();
+        for (rel, first) in [("Neg", -0.0), ("Pos", 0.0)] {
+            c.add_relation(
+                SchemaBuilder::new(rel)
+                    .key("k", AttrType::Int)
+                    .data("x", AttrType::Float)
+                    .build()
+                    .unwrap(),
+            )
+            .unwrap();
+            for (k, x) in [(1, first), (2, -first), (3, 1.5)] {
+                c.insert(rel, [Value::Int(k), Value::Float(x)].into())
+                    .unwrap();
+            }
+        }
+        let ex = expand_values(&c).unwrap();
+        let c = &ex.catalog;
+        for (rel, first) in [("Neg", -0.0f64), ("Pos", 0.0)] {
+            let pseudo = c.relation_id(&pseudo_relation_name(rel, "x")).unwrap();
+            assert_eq!(c.relation(pseudo).len(), 2);
+            let zero = c.value(TupleRef::new(pseudo, TupleId(0)), 0);
+            assert_eq!(zero.as_float().map(f64::to_bits), Some(first.to_bits()));
+            let from = c.relation_id(rel).unwrap();
+            let fk = c.out_edges(from)[0];
+            let back = c.follow_backward(fk, TupleRef::new(pseudo, TupleId(0)));
+            assert_eq!(back.len(), 2);
+        }
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //!
 //! * typed [`Value`]s, [`Tuple`]s, and [`RelationSchema`]s with keys and
 //!   foreign keys ([`schema`], [`value`], [`mod@tuple`]);
-//! * [`Relation`] storage with unique key indexes and secondary hash
-//!   indexes ([`relation`]);
-//! * a [`Catalog`] linking relations through resolved foreign-key edges,
-//!   with forward (many-to-one) and backward (one-to-many) traversal
-//!   ([`catalog`]);
+//! * [`Relation`] storage with a unique key index ([`relation`]);
+//! * a [`Catalog`] linking relations through foreign-key edges, each
+//!   value resolved once into a column of target tuple ids ([`FkLinks`])
+//!   whose transpose serves backward (one-to-many) traversal as the column
+//!   serves forward (many-to-one) traversal ([`catalog`]);
 //! * the [`JoinPath`] model and exhaustive path enumeration ([`join`]);
 //! * attribute-value expansion turning each data value into a pseudo-tuple
 //!   ([`expand`], paper §2.1);
@@ -50,7 +50,7 @@ pub mod schema;
 pub mod tuple;
 pub mod value;
 
-pub use catalog::{Catalog, FkEdge, FkId};
+pub use catalog::{Catalog, FkEdge, FkId, FkLinks};
 pub use error::{Result, StoreError};
 pub use expand::{expand_values, Expanded, ExpandedAttr};
 pub use faults::{Fault, FaultKind, FaultPlan, FaultyVfs, StdVfs, Vfs};

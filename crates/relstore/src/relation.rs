@@ -1,4 +1,4 @@
-//! Relation storage: typed tuple arrays plus key and secondary hash indexes.
+//! Relation storage: typed tuple arrays plus a unique key index.
 
 use crate::error::{Result, StoreError};
 use crate::fxhash::FxHashMap;
@@ -6,21 +6,19 @@ use crate::schema::RelationSchema;
 use crate::tuple::{Tuple, TupleId};
 use crate::value::Value;
 
-/// One stored relation: its schema, tuples, and indexes.
+/// One stored relation: its schema, tuples, and key index.
 ///
 /// The key attribute (if declared) is always indexed and uniqueness is
-/// enforced on insert. Additional attributes can be indexed on demand with
-/// [`Relation::build_index`]; foreign-key attributes are indexed by the
-/// catalog when linkage is finalized, since reverse foreign-key traversal
-/// (`target -> referrers`) is the hot operation of join-path propagation.
+/// enforced on insert. Foreign-key traversal does not read attribute
+/// values at all: the catalog resolves every foreign-key value once into
+/// a tuple-id column when linkage is finalized (see
+/// [`Catalog::finalize`](crate::Catalog::finalize)).
 #[derive(Debug, Clone)]
 pub struct Relation {
     schema: RelationSchema,
     tuples: Vec<Tuple>,
     /// Unique index on the key attribute (if the schema declares one).
     key_index: FxHashMap<Value, TupleId>,
-    /// Secondary (non-unique) indexes: attribute position -> value -> tuple ids.
-    secondary: FxHashMap<usize, FxHashMap<Value, Vec<TupleId>>>,
 }
 
 impl Relation {
@@ -30,7 +28,38 @@ impl Relation {
             schema,
             tuples: Vec::new(),
             key_index: FxHashMap::default(),
-            secondary: FxHashMap::default(),
+        }
+    }
+
+    /// This relation's tuples and key index under `schema`, which must
+    /// give every attribute the type and the key role it has here: the
+    /// tuples are copied without being validated again.
+    pub(crate) fn retyped(&self, schema: RelationSchema) -> Relation {
+        debug_assert_eq!(schema.arity(), self.schema.arity());
+        debug_assert_eq!(schema.key_index(), self.schema.key_index());
+        Relation {
+            schema,
+            tuples: self.tuples.clone(),
+            key_index: self.key_index.clone(),
+        }
+    }
+
+    /// A relation of `schema`, whose only attribute is its key, holding
+    /// one tuple per value of `keys` in order. The keys must be distinct,
+    /// non-null and of the key's type.
+    pub(crate) fn from_keys(schema: RelationSchema, keys: Vec<Value>) -> Relation {
+        debug_assert_eq!((schema.arity(), schema.key_index()), (1, Some(0)));
+        let mut key_index = FxHashMap::default();
+        key_index.reserve(keys.len());
+        for (i, k) in keys.iter().enumerate() {
+            key_index.insert(k.clone(), TupleId(i as u32));
+        }
+        debug_assert_eq!(key_index.len(), keys.len(), "keys are not distinct");
+        let tuples = keys.into_iter().map(|k| Tuple::new(vec![k])).collect();
+        Relation {
+            schema,
+            tuples,
+            key_index,
         }
     }
 
@@ -96,15 +125,6 @@ impl Relation {
             }
             self.key_index.insert(key, tid); // distinct-lint: allow(D113, reason="primary-key index holds one entry per stored tuple for the corpus lifetime; dropped with the relation")
         }
-        // Maintain any already-built secondary indexes. Iteration order over
-        // the index map is irrelevant: each pass touches a different index,
-        // and within one index the posting order follows tuple insertion.
-        for (attr, index) in self.secondary.iter_mut() {
-            let v = tuple.get(*attr);
-            if !v.is_null() {
-                index.entry(v.clone()).or_default().push(tid);
-            }
-        }
         // distinct-lint: allow(D113, reason="tuple storage is the reference corpus itself: insert-only by design, freed when the relation is dropped")
         self.tuples.push(tuple);
         Ok(tid)
@@ -127,66 +147,6 @@ impl Relation {
     /// Look up a tuple by key value (requires a key attribute).
     pub fn by_key(&self, key: &Value) -> Option<TupleId> {
         self.key_index.get(key).copied()
-    }
-
-    /// Build (or rebuild) a secondary index on the attribute at `attr`.
-    ///
-    /// Null values are not indexed.
-    pub fn build_index(&mut self, attr: usize) {
-        let mut index: FxHashMap<Value, Vec<TupleId>> = FxHashMap::default();
-        for (i, t) in self.tuples.iter().enumerate() {
-            let v = t.get(attr);
-            if !v.is_null() {
-                index.entry(v.clone()).or_default().push(TupleId(i as u32));
-            }
-        }
-        // distinct-lint: allow(D113, reason="one index per attribute, bounded by the schema arity; entries mirror stored tuples and live as long as the relation")
-        self.secondary.insert(attr, index);
-    }
-
-    /// True if a secondary index exists on attribute `attr`.
-    pub fn has_index(&self, attr: usize) -> bool {
-        self.secondary.contains_key(&attr)
-    }
-
-    /// Tuples whose attribute `attr` equals `value`.
-    ///
-    /// Uses the secondary index when one exists, otherwise scans. The key
-    /// attribute is answered from the unique key index.
-    pub fn lookup(&self, attr: usize, value: &Value) -> Vec<TupleId> {
-        if Some(attr) == self.schema.key_index() {
-            return self.by_key(value).into_iter().collect();
-        }
-        if let Some(index) = self.secondary.get(&attr) {
-            return index.get(value).cloned().unwrap_or_default();
-        }
-        self.iter()
-            .filter(|(_, t)| t.get(attr) == value)
-            .map(|(tid, _)| tid)
-            .collect()
-    }
-
-    /// Number of tuples whose attribute `attr` equals `value` (fanout).
-    pub fn lookup_count(&self, attr: usize, value: &Value) -> usize {
-        if Some(attr) == self.schema.key_index() {
-            return usize::from(self.by_key(value).is_some());
-        }
-        if let Some(index) = self.secondary.get(&attr) {
-            return index.get(value).map_or(0, Vec::len);
-        }
-        self.iter().filter(|(_, t)| t.get(attr) == value).count()
-    }
-
-    /// Distinct non-null values of attribute `attr`, with their multiplicity.
-    pub fn value_counts(&self, attr: usize) -> FxHashMap<Value, usize> {
-        let mut counts: FxHashMap<Value, usize> = FxHashMap::default();
-        for (_, t) in self.iter() {
-            let v = t.get(attr);
-            if !v.is_null() {
-                *counts.entry(v.clone()).or_insert(0) += 1;
-            }
-        }
-        counts
     }
 }
 
@@ -245,64 +205,5 @@ mod tests {
         let mut r = sample();
         let res = r.insert([Value::Null, Value::str("VLDB"), Value::Int(2000)].into());
         assert!(res.is_err());
-    }
-
-    #[test]
-    fn scan_lookup_without_index() {
-        let r = sample();
-        assert!(!r.has_index(1));
-        let hits = r.lookup(1, &Value::str("VLDB"));
-        assert_eq!(hits, vec![TupleId(0), TupleId(2)]);
-        assert_eq!(r.lookup_count(1, &Value::str("VLDB")), 2);
-        assert_eq!(r.lookup_count(1, &Value::str("ICDE")), 0);
-    }
-
-    #[test]
-    fn indexed_lookup_matches_scan() {
-        let mut r = sample();
-        let scan = r.lookup(1, &Value::str("VLDB"));
-        r.build_index(1);
-        assert!(r.has_index(1));
-        assert_eq!(r.lookup(1, &Value::str("VLDB")), scan);
-        assert_eq!(r.lookup_count(1, &Value::str("VLDB")), 2);
-    }
-
-    #[test]
-    fn index_maintained_on_insert() {
-        let mut r = sample();
-        r.build_index(1);
-        r.insert([Value::Int(4), Value::str("VLDB"), Value::Int(2005)].into())
-            .unwrap();
-        assert_eq!(r.lookup(1, &Value::str("VLDB")).len(), 3);
-    }
-
-    #[test]
-    fn key_attr_lookup_goes_through_key_index() {
-        let r = sample();
-        assert_eq!(r.lookup(0, &Value::Int(3)), vec![TupleId(2)]);
-        assert_eq!(r.lookup_count(0, &Value::Int(3)), 1);
-    }
-
-    #[test]
-    fn value_counts() {
-        let r = sample();
-        let counts = r.value_counts(1);
-        assert_eq!(counts.get(&Value::str("VLDB")), Some(&2));
-        assert_eq!(counts.get(&Value::str("SIGMOD")), Some(&1));
-        assert_eq!(counts.len(), 2);
-    }
-
-    #[test]
-    fn nulls_not_indexed() {
-        let schema = SchemaBuilder::new("R")
-            .data("x", AttrType::Str)
-            .build()
-            .unwrap();
-        let mut r = Relation::new(schema);
-        r.insert(Tuple::new(vec![Value::Null])).unwrap();
-        r.insert(Tuple::new(vec![Value::str("a")])).unwrap();
-        r.build_index(0);
-        assert_eq!(r.lookup(0, &Value::str("a")).len(), 1);
-        assert!(r.value_counts(0).len() == 1);
     }
 }

@@ -70,7 +70,7 @@ fn propagation_forward_mass_is_bounded_on_every_path() {
 #[test]
 fn propagation_support_matches_raw_traversal() {
     // The tuples with nonzero probability must be exactly the tuples the
-    // oracle's walk enumeration over the catalog's own indexes reaches.
+    // oracle's walk enumeration over tuple values reaches.
     let d = dataset();
     let ex = expand_values(&d.catalog).unwrap();
     let graph = LinkGraph::build(&ex.catalog);
@@ -81,12 +81,13 @@ fn propagation_support_matches_raw_traversal() {
     };
     let paths = relstore::enumerate_paths(&ex.catalog, publish, &opts);
     let r = d.truths[0].refs[0];
+    let adj = oracle::Adjacency::new(&ex.catalog);
     for path in paths.iter().take(10) {
         let prop = propagate(&graph, &ex.catalog, path, r);
         let mut via_prop: Vec<TupleRef> =
             prop.path(0).nodes.iter().map(|&n| graph.tuple(n)).collect();
         via_prop.sort_unstable();
-        let via_walks: Vec<TupleRef> = oracle::enumerate_propagation(&ex.catalog, path, r, &[])
+        let via_walks: Vec<TupleRef> = oracle::enumerate_propagation(&adj, path, r, &[])
             .forward
             .into_keys()
             .collect();
@@ -99,18 +100,24 @@ fn link_graph_agrees_with_catalog_adjacency() {
     let d = dataset();
     let ex = expand_values(&d.catalog).unwrap();
     let graph = LinkGraph::build(&ex.catalog);
+    // The oracle derives adjacency from tuple values, not from the
+    // catalog's resolved columns the graph copies.
+    let adj = oracle::Adjacency::new(&ex.catalog);
     for edge in ex.catalog.fk_edges().iter().take(6) {
-        let from_rel = ex.catalog.relation(edge.from);
-        for (tid, _) in from_rel.iter().take(50) {
-            let t = TupleRef::new(edge.from, tid);
-            let expected: Vec<_> = ex
-                .catalog
-                .follow_forward(edge.id, t)
-                .into_iter()
-                .map(|x| graph.node(x))
-                .collect();
-            let got = graph.step_neighbors(JoinStep::forward(edge.id), graph.node(t), edge.from);
-            assert_eq!(got, expected.as_slice());
+        for (rel, step) in [
+            (edge.from, JoinStep::forward(edge.id)),
+            (edge.to, JoinStep::backward(edge.id)),
+        ] {
+            for (tid, _) in ex.catalog.relation(rel).iter().take(50) {
+                let t = TupleRef::new(rel, tid);
+                let expected: Vec<_> = adj
+                    .step_neighbors(step, t)
+                    .into_iter()
+                    .map(|x| graph.node(x))
+                    .collect();
+                let got = graph.step_neighbors(step, graph.node(t), rel);
+                assert_eq!(got, expected.as_slice());
+            }
         }
     }
 }
@@ -146,6 +153,7 @@ fn empty_join_path_is_identity_everywhere() {
     let r = d.truths[0].refs[0];
     let prop = propagate(&graph, &ex.catalog, &path, r);
     assert_eq!(prop.path(0).nodes, [graph.node(r)]);
-    let walks = oracle::enumerate_propagation(&ex.catalog, &path, r, &[]);
+    let adj = oracle::Adjacency::new(&ex.catalog);
+    let walks = oracle::enumerate_propagation(&adj, &path, r, &[]);
     assert_eq!(walks.forward.into_keys().collect::<Vec<_>>(), vec![r]);
 }
