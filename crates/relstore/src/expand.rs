@@ -73,8 +73,9 @@ fn distinct_values(rel: &Relation, attr: usize) -> (Vec<Value>, Vec<u32>) {
 /// Rewrite `catalog` so every data attribute becomes a foreign key into a
 /// pseudo-relation of its distinct values.
 ///
-/// Original relations keep their tuples (copied as stored, not validated
-/// again), and pseudo-relations number their values in ascending order.
+/// Original relations keep their tuples (shared with the input, not
+/// validated again), and pseudo-relations number their values in
+/// ascending order.
 /// The input catalog does not need to be finalized; the output is
 /// finalized with integrity checking on (expansion cannot dangle by
 /// construction, and original foreign keys are revalidated). A finalized

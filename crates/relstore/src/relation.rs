@@ -33,7 +33,7 @@ impl Relation {
 
     /// This relation's tuples and key index under `schema`, which must
     /// give every attribute the type and the key role it has here: the
-    /// tuples are copied without being validated again.
+    /// tuples are shared, not copied, and not validated again.
     pub(crate) fn retyped(&self, schema: RelationSchema) -> Relation {
         debug_assert_eq!(schema.arity(), self.schema.arity());
         debug_assert_eq!(schema.key_index(), self.schema.key_index());
@@ -55,7 +55,7 @@ impl Relation {
             key_index.insert(k.clone(), TupleId(i as u32));
         }
         debug_assert_eq!(key_index.len(), keys.len(), "keys are not distinct");
-        let tuples = keys.into_iter().map(|k| Tuple::new(vec![k])).collect();
+        let tuples = keys.into_iter().map(|k| Tuple::from([k])).collect();
         Relation {
             schema,
             tuples,

@@ -3,6 +3,7 @@
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a relation within a catalog (dense, assigned at registration).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -52,15 +53,20 @@ impl fmt::Display for TupleRef {
 }
 
 /// A stored tuple: just its attribute values, addressed positionally.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The values never change once built and are shared, so a clone (what
+/// copying a relation's storage does) allocates nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tuple {
-    values: Vec<Value>,
+    values: Arc<[Value]>,
 }
 
 impl Tuple {
     /// Build a tuple from values.
     pub fn new(values: Vec<Value>) -> Self {
-        Tuple { values }
+        Tuple {
+            values: values.into(),
+        }
     }
 
     /// Number of values.
@@ -95,7 +101,9 @@ impl fmt::Display for Tuple {
 
 impl<const N: usize> From<[Value; N]> for Tuple {
     fn from(values: [Value; N]) -> Self {
-        Tuple::new(values.into_iter().collect())
+        Tuple {
+            values: Arc::from(values),
+        }
     }
 }
 
