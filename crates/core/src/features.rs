@@ -80,7 +80,7 @@ pub fn build_profile_guarded(
         .into_iter()
         .collect();
     let mut columns = Propagation::new();
-    // distinct-lint: scratch(per profile: one propagation scratch serves every path of the profile; each call clears its maps and buffers, keeping their capacity, and the scratch drops with the profile build)
+    // distinct-lint: scratch(per profile: one propagation scratch serves every path of the profile; each call clears its vectors, keeping their capacity, and the scratch drops with the profile build)
     let mut scratch = PropagateScratch::default();
     for path in &paths.paths {
         relgraph::propagate_blocked_guarded(

@@ -15,7 +15,7 @@
 
 use crate::graph::{LinkGraph, NodeId};
 use crate::kernel::Row;
-use relstore::{Catalog, FxHashMap, JoinPath, RelId, TupleRef};
+use relstore::{Catalog, JoinPath, RelId, TupleRef};
 
 /// Sorted columns of one or more propagations, one run per join path.
 ///
@@ -129,16 +129,30 @@ impl Propagation {
     }
 }
 
-/// Reusable buffers of [`propagate_blocked_guarded`]: the per-level mass
-/// maps, the reverse-pass maps, the frontier sort buffer and the path's
+/// One reached node of a propagation level with both its masses.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    node: NodeId,
+    /// `Prob_P(r → t)` at this level.
+    forward: f64,
+    /// `Prob_P(t → r)` along the reverse of the path's prefix.
+    backward: f64,
+}
+
+/// Reusable buffers of [`propagate_blocked_guarded`]: plain vectors, no
+/// map. They hold every level's entries, a step's deposits and the path's
 /// relation list. Every call clears what it uses (keeping the capacity),
 /// so no value depends on an earlier call.
 #[derive(Debug, Default)]
 pub struct PropagateScratch {
-    levels: Vec<FxHashMap<NodeId, f64>>,
-    g: FxHashMap<NodeId, f64>,
-    g_next: FxHashMap<NodeId, f64>,
-    expand: Vec<(NodeId, f64)>,
+    /// Every level's entries, level after level, each level in strictly
+    /// ascending node order.
+    entries: Vec<Entry>,
+    /// Start offset of each level in `entries`, plus the end of the last.
+    bounds: Vec<usize>,
+    /// One forward step's `(target, source, share)` deposits.
+    deposits: Vec<(NodeId, NodeId, f64)>,
+    /// The path's relation at each level.
     rels: Vec<RelId>,
 }
 
@@ -190,6 +204,15 @@ pub fn propagate_blocked(
 /// Like [`propagate_blocked`], but cooperatively interruptible, working
 /// in `scratch`, and appending its run to `out`.
 ///
+/// Each level is a vector in ascending node order. A forward step pushes
+/// every frontier node's shares in ascending source order, sorts them by
+/// (target, source) and folds equal targets, so each target sums its
+/// shares in ascending source order; a one-node frontier skips the sort,
+/// its adjacency row being ascending already. The reverse pass reads the
+/// previous level by binary search and writes each entry's reverse mass
+/// beside its forward mass, so the run is the last level, copied with no
+/// sort and no probe.
+///
 /// `guard` is called once per propagation level (forward and backward) with
 /// the number of frontier entries about to be expanded — the unit of work
 /// that dominates propagation cost. Returning `false` abandons the
@@ -212,102 +235,116 @@ pub fn propagate_blocked_guarded(
         "origin tuple not in path start relation"
     );
     let PropagateScratch {
-        levels,
-        g,
-        g_next,
-        expand,
+        entries,
+        bounds,
+        deposits,
         rels,
     } = scratch;
     rels.clear();
     rels.push(path.start);
     rels.extend(path.steps.iter().map(|s| s.dest(catalog)));
 
-    // Forward pass: `levels[i]` is the mass at level `i`, stored once and
-    // read again by the backward pass.
-    if levels.len() <= path.len() {
-        levels.resize_with(path.len() + 1, FxHashMap::default);
-    }
-    for level in &mut levels[..=path.len()] {
-        level.clear();
-    }
-    if let Some(start) = levels.first_mut() {
-        start.insert(graph.node(origin), 1.0);
-    }
+    // Forward pass: level `i` is `entries[bounds[i]..bounds[i + 1]]`, stored
+    // once and read again by the reverse pass. The origin's reverse mass is
+    // 1: a walk of no steps is already there.
+    entries.clear();
+    bounds.clear();
+    entries.push(Entry {
+        node: graph.node(origin),
+        forward: 1.0,
+        backward: 1.0,
+    });
+    bounds.extend([0, 1]);
     for (i, step) in path.steps.iter().enumerate() {
-        if !guard(levels[i].len() as u64) {
+        let cur = bounds[i]..bounds[i + 1];
+        if !guard(cur.len() as u64) {
             return None;
         }
-        let mut next = std::mem::take(&mut levels[i + 1]);
-        let cur = &levels[i];
         let src_rel = rels[i];
-        // Expand the frontier in ascending node order: several sources can
-        // deposit mass on the same target, and f64 `+=` is order-sensitive,
-        // so hash-order expansion would make the low-order bits of `next`
-        // depend on the frontier map's insertion history.
-        expand.clear();
-        expand.extend(cur.iter().map(|(&u, &p)| (u, p)));
-        expand.sort_unstable_by_key(|&(u, _)| u);
-        for &(u, p) in expand.iter() {
-            let nbrs = graph.step_neighbors(*step, u, src_rel);
+        deposits.clear();
+        for e in &entries[cur.clone()] {
+            let nbrs = graph.step_neighbors(*step, e.node, src_rel);
             if nbrs.is_empty() {
                 continue; // dead end: mass is lost (e.g. null FK)
             }
-            let share = p / nbrs.len() as f64;
+            let share = e.forward / nbrs.len() as f64;
             for &v in nbrs {
-                if blocked.contains(&v) {
-                    continue; // mass is lost at blocked nodes
+                if !blocked.contains(&v) {
+                    deposits.push((v, e.node, share)); // blocked nodes lose it
                 }
-                *next.entry(v).or_insert(0.0) += share;
             }
         }
-        levels[i + 1] = next;
+        // Several sources can deposit mass on one target, and f64 `+=` is
+        // order-sensitive: each target sums its shares in ascending source
+        // order. One source's row is ascending and lists each target once.
+        if cur.len() > 1 {
+            deposits.sort_unstable_by_key(|&(v, u, _)| (v, u));
+        }
+        for &(v, _, share) in deposits.iter() {
+            // The level's first target opens an entry even when it equals
+            // the frontier's last node (a relation referencing itself).
+            if entries.len() == cur.end || entries.last().map(|e| e.node) != Some(v) {
+                entries.push(Entry {
+                    node: v,
+                    forward: 0.0,
+                    backward: 0.0,
+                });
+            }
+            if let Some(e) = entries.last_mut() {
+                e.forward += share;
+            }
+        }
+        bounds.push(entries.len());
+        let next = &entries[cur.end..];
+        debug_assert!(
+            next.iter()
+                .zip(next.iter().skip(1))
+                .all(|(x, y)| x.node < y.node),
+            "level {} not in strictly ascending node order",
+            i + 1
+        );
     }
 
-    // Backward pass: g_i(u) = P(reverse walk from u at level i reaches origin).
-    // g_0(origin) = 1; g_i(u) = (Σ_{v ∈ rev(u)} g_{i-1}(v)) / |rev(u)| where
-    // rev(u) enumerates *all* reverse-step neighbors of u (tuples off every
-    // path to the origin contribute 0).
-    g.clear();
-    g.insert(graph.node(origin), 1.0);
+    // Reverse pass: g_i(u) = P(reverse walk from u at level i reaches origin),
+    // stored as the backward mass of u's entry. g_0(origin) = 1; g_i(u) =
+    // (Σ_{v ∈ rev(u)} g_{i-1}(v)) / |rev(u)| where rev(u) enumerates *all*
+    // reverse-step neighbors of u, summed in their row order (tuples off
+    // every path to the origin contribute 0).
     for (i, step) in path.steps.iter().enumerate() {
-        if !guard(levels[i + 1].len() as u64) {
+        let (lo, hi, end) = (bounds[i], bounds[i + 1], bounds[i + 2]);
+        if !guard((end - hi) as u64) {
             return None;
         }
         let rev = step.reversed();
         let rev_src_rel = rels[i + 1];
-        g_next.clear();
-        // Each `u` gets an independent entry and `acc` sums over the
-        // deterministic reverse-neighbor slice, so iteration order cannot
-        // affect any value — only the map's (unobserved) internal layout.
-        for &u in levels[i + 1].keys() {
-            let nbrs = graph.step_neighbors(rev, u, rev_src_rel);
+        let (done, rest) = entries.split_at_mut(hi);
+        let prev = &done[lo..];
+        for e in &mut rest[..end - hi] {
+            let nbrs = graph.step_neighbors(rev, e.node, rev_src_rel);
             debug_assert!(!nbrs.is_empty(), "reached tuple has no reverse neighbor");
             let mut acc = 0.0;
-            for &v in nbrs {
-                if let Some(&gv) = g.get(&v) {
-                    acc += gv;
+            for v in nbrs {
+                if let Ok(j) = prev.binary_search_by_key(v, |p| p.node) {
+                    acc += prev[j].backward;
                 }
             }
             if acc > 0.0 {
-                g_next.insert(u, acc / nbrs.len() as f64);
+                e.backward = acc / nbrs.len() as f64;
             }
         }
-        std::mem::swap(g, g_next);
     }
 
-    // The run: reached nodes ascending, both masses side by side. Every
-    // reached node reached the origin back (the step that reached it
-    // reverses), so `g` holds a positive mass for each.
-    let reached = &levels[path.len()];
-    let lo = out.nodes.len();
-    out.nodes.extend(reached.keys().copied());
-    out.nodes[lo..].sort_unstable();
-    for n in &out.nodes[lo..] {
-        let back = g.get(n).copied().unwrap_or(0.0);
-        debug_assert!(back > 0.0, "reached node {n:?} has no return mass");
-        out.forward.push(reached.get(n).copied().unwrap_or(0.0));
-        out.backward.push(back);
-    }
+    // The run: the last level, both masses side by side. Every reached
+    // node reached the origin back (the step that reached it reverses), so
+    // each reverse mass is positive.
+    let run = &entries[bounds[path.len()]..];
+    debug_assert!(
+        run.iter().all(|e| e.backward > 0.0),
+        "a reached node has no return mass"
+    );
+    out.nodes.extend(run.iter().map(|e| e.node));
+    out.forward.extend(run.iter().map(|e| e.forward));
+    out.backward.extend(run.iter().map(|e| e.backward));
     out.ends.push(out.nodes.len());
     Some(())
 }
@@ -316,7 +353,10 @@ pub fn propagate_blocked_guarded(
 mod tests {
     use super::*;
     use crate::kernel::directed_walk;
-    use relstore::{AttrType, JoinStep, SchemaBuilder, Value};
+    use datagen::{to_catalog, World, WorldConfig};
+    use relstore::{
+        enumerate_paths, AttrType, JoinStep, PathEnumOptions, SchemaBuilder, TupleId, Value,
+    };
 
     /// `(Prob_P(r → t), Prob_P(t → r))` of node `t` in `run`, if reached.
     fn masses(run: PathColumns<'_>, t: NodeId) -> Option<(f64, f64)> {
@@ -724,5 +764,135 @@ mod tests {
         let p = propagate(&g, &c, &path, publish_tuple(&c, 0));
         let run = p.path(0);
         assert!((directed_walk(run.forward_row(), run.backward_row()) - 0.25).abs() < 1e-12);
+    }
+
+    /// A target reached from several sources sums their shares in
+    /// ascending source order. Hub 1 has three mids; mids 0 and 1 have one
+    /// leaf each and mid 2 has six, and one leaf of each mid points at
+    /// target 0, which so receives 1/3, 1/3 and 1/18. Summed the other way
+    /// round, those shares differ in the last bit.
+    #[test]
+    fn each_target_sums_its_shares_in_ascending_source_order() {
+        let mut c = Catalog::new();
+        for schema in [
+            SchemaBuilder::new("Hub").key("h", AttrType::Int),
+            SchemaBuilder::new("Target").key("t", AttrType::Int),
+            SchemaBuilder::new("Mid")
+                .key("m", AttrType::Int)
+                .fk("h", AttrType::Int, "Hub"),
+            SchemaBuilder::new("Leaf").fk("m", AttrType::Int, "Mid").fk(
+                "t",
+                AttrType::Int,
+                "Target",
+            ),
+        ] {
+            c.add_relation(schema.build().unwrap()).unwrap();
+        }
+        c.insert("Hub", [Value::Int(1)].into()).unwrap();
+        for t in 0..6 {
+            c.insert("Target", [Value::Int(t)].into()).unwrap();
+        }
+        for m in 0..3 {
+            c.insert("Mid", [Value::Int(m), Value::Int(1)].into())
+                .unwrap();
+        }
+        for (m, t) in [
+            (0, 0),
+            (1, 0),
+            (2, 0),
+            (2, 1),
+            (2, 2),
+            (2, 3),
+            (2, 4),
+            (2, 5),
+        ] {
+            c.insert("Leaf", [Value::Int(m), Value::Int(t)].into())
+                .unwrap();
+        }
+        c.finalize(true).unwrap();
+        let g = LinkGraph::build(&c);
+        let fk = |label: &str| c.fk_edges().iter().find(|e| e.label == label).unwrap().id;
+        let hub = c.relation_id("Hub").unwrap();
+        let path = JoinPath::new(
+            hub,
+            vec![
+                JoinStep::backward(fk("Mid.h->Hub")),
+                JoinStep::backward(fk("Leaf.m->Mid")),
+                JoinStep::forward(fk("Leaf.t->Target")),
+            ],
+            &c,
+        )
+        .unwrap();
+        let prop = propagate(&g, &c, &path, TupleRef::new(hub, TupleId(0)));
+        let target = TupleRef::new(c.relation_id("Target").unwrap(), TupleId(0));
+        let (got, _) = masses(prop.path(0), g.node(target)).unwrap();
+        let third: f64 = 1.0 / 3.0;
+        let ascending = ((0.0 + third) + third) + third / 6.0;
+        let descending = ((0.0 + third / 6.0) + third) + third;
+        assert_ne!(ascending.to_bits(), descending.to_bits());
+        assert_eq!(got.to_bits(), ascending.to_bits());
+    }
+
+    /// The units the hash-map kernel charged its guard for the test below,
+    /// recorded before the sorted-vector kernel replaced it: a budget trips
+    /// at the same level in either kernel.
+    const UNITS: [u64; 240] = [
+        1, 0, 1, 1, 1, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 3, 1, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1,
+        1, 1, 1, 1, 1, 1, 3, 1, 3, 2, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1,
+        1, 1, 1, 14, 1, 1, 1, 1, 1, 1, 1, 3, 1, 1, 3, 2, 1, 3, 2, 45, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1,
+        1, 1, 1, 1, 1, 3, 1, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 3, 1, 3, 2,
+        1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 14, 1, 1, 1, 1, 1, 1,
+        1, 3, 1, 1, 3, 2, 1, 3, 2, 40, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 4, 1, 0, 0, 0,
+        0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 6, 1, 1, 4, 1, 4, 3, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0,
+        0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 15, 1, 1, 1, 6, 1, 1, 6, 21, 1, 1, 4, 3, 1, 4, 3,
+        62,
+    ];
+
+    /// The guard sees the frontier size of every level, forward then
+    /// backward, for three references of a generated tiny world along
+    /// every join path of up to four steps from `Publish`, with each
+    /// reference's author tuple blocked as DISTINCT blocks it.
+    #[test]
+    fn guard_units_per_level_are_pinned() {
+        let d = to_catalog(&World::generate(WorldConfig::tiny(5))).unwrap();
+        let c = &d.catalog;
+        let g = LinkGraph::build(c);
+        let paths = enumerate_paths(c, d.publish, &PathEnumOptions::default());
+        let author_fk = c
+            .fk_edges()
+            .iter()
+            .find(|e| e.from == d.publish && e.to == d.authors)
+            .unwrap()
+            .id;
+        let mut units = Vec::new();
+        for tid in [0, 1, 777] {
+            let origin = TupleRef::new(d.publish, TupleId(tid));
+            let blocked: Vec<NodeId> = c
+                .follow_forward(author_fk, origin)
+                .map(|t| g.node(t))
+                .into_iter()
+                .collect();
+            let mut scratch = PropagateScratch::default();
+            let mut out = Propagation::new();
+            for path in &paths {
+                let mut guard = |u: u64| {
+                    units.push(u);
+                    true
+                };
+                propagate_blocked_guarded(
+                    &g,
+                    c,
+                    path,
+                    origin,
+                    &blocked,
+                    &mut guard,
+                    &mut scratch,
+                    &mut out,
+                )
+                .unwrap();
+            }
+            assert_eq!(out.paths(), paths.len());
+        }
+        assert_eq!(units, UNITS);
     }
 }
