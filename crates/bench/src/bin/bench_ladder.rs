@@ -155,6 +155,7 @@ fn run_rung(r: &Rung) -> Result<(), BenchError> {
         .stage(BIN, "run the cold durable resolve")?;
     let cold_ms = ms(t2.elapsed());
     let resolve_alloc = a2.delta();
+    let peak_rss_bytes = distinct::peak_rss_bytes().unwrap_or(0);
     let total_writes = counting.writes_attempted();
     assert!(cold.outcome.is_complete(), "cold run degraded");
 
@@ -202,7 +203,7 @@ fn run_rung(r: &Rung) -> Result<(), BenchError> {
         refs.len(),
         exec.max_threads(),
         exec.total_logical(),
-        exec.peak_rss_bytes,
+        peak_rss_bytes,
         exec.pairs_total,
         exec.pairs_pruned,
         exec.pairs_exact,

@@ -6,11 +6,14 @@
 //! each shared name into as many entities as the linkage evidence
 //! supports. Names are independent (references with different names can
 //! never corefer in this problem setting), so the pass fans the names out
-//! as independent work items and commits their clusterings in order.
+//! as independent work items and commits their clusterings in order. The
+//! durable update stream re-resolves the names each chunk affected
+//! through the same fan-out.
 
 use crate::control::RunControl;
 use crate::pipeline::Distinct;
 use crate::request::ResolveRequest;
+use cluster::Clustering;
 use relstore::{FxHashMap, TupleRef, Value};
 use serde::{Deserialize, Serialize};
 
@@ -103,9 +106,10 @@ impl Distinct {
     /// [`EntityAssignment`]. Deterministic: names are committed in the
     /// order of their first appearance in the relation.
     ///
-    /// Each clusterable name is one work item on a pool of
-    /// [`DedupeOptions::threads`] workers: one [`Distinct::resolve`] at
-    /// `.threads(1)`, charged per name against the pass's
+    /// Each clusterable name is one work item of the name fan-out that
+    /// the durable update stream also uses, on [`DedupeOptions::threads`]
+    /// workers (the calling thread among them): one [`Distinct::resolve`]
+    /// at `.threads(1)`, charged per name against the pass's
     /// [`RunControl`]. Names share the engine's profile cache and arena
     /// pool, and every resolve is a pure function of its references, so
     /// the assignment is identical at any thread count.
@@ -141,20 +145,9 @@ impl Distinct {
             exec::Executor::with_threads(opts.threads)
         };
         let ctl = RunControl::new();
-        let guard = ctl.shared_guard();
-        let (resolved, _) = executor.par_map_guarded(
-            &clusterable,
-            |_, refs| {
-                guard(refs.len() as u64).then(|| {
-                    let clustering = self
-                        .resolve(&ResolveRequest::new(refs).threads(1))
-                        .clustering;
-                    (clustering.cluster_count(), clustering.labels)
-                })
-            },
-            || ctl.status().is_some(),
-        );
-        let mut resolved = resolved.into_iter();
+        let mut resolved = self
+            .resolve_names(&clusterable, &executor, &ctl, &ctl.shared_guard())
+            .into_iter();
 
         let mut assignment = EntityAssignment::default();
         for name in order {
@@ -171,11 +164,11 @@ impl Distinct {
                     assignment.entity_of.insert(r, base);
                 }
                 1
-            } else if let Some((k, labels)) = resolved.next().flatten() {
-                for (&r, &label) in refs.iter().zip(&labels) {
+            } else if let Some(clustering) = resolved.next().flatten() {
+                for (&r, &label) in refs.iter().zip(&clustering.labels) {
                     assignment.entity_of.insert(r, base + label);
                 }
-                k
+                clustering.cluster_count()
             } else {
                 assignment.skipped.push(display);
                 continue;
@@ -188,6 +181,36 @@ impl Distinct {
             });
         }
         assignment
+    }
+
+    /// The one name fan-out, behind [`Distinct::resolve_all`] and the live
+    /// chunks of [`Distinct::apply_update_stream_with`]: each name's
+    /// references are one work item on `executor`, charged their count
+    /// against `guard` and resolved by one [`Distinct::resolve`] at
+    /// `.threads(1)`, so a small name never fans out over a pool of its
+    /// own. Clusterings come back in input order; an item refused by a
+    /// tripped `ctl` (or by `guard`) comes back `None`. References with
+    /// different names never co-refer, and every resolve is a pure
+    /// function of its references, so the result is identical at any
+    /// thread count.
+    pub(crate) fn resolve_names(
+        &self,
+        names: &[&[TupleRef]],
+        executor: &exec::Executor,
+        ctl: &RunControl,
+        guard: &(dyn Fn(u64) -> bool + Sync),
+    ) -> Vec<Option<Clustering>> {
+        let (resolved, _) = executor.par_map_guarded(
+            names,
+            |_, refs| {
+                guard(refs.len() as u64).then(|| {
+                    self.resolve(&ResolveRequest::new(refs).threads(1))
+                        .clustering
+                })
+            },
+            || ctl.status().is_some(),
+        );
+        resolved
     }
 }
 

@@ -664,7 +664,6 @@ impl Distinct {
                 profiles: stage_stats(profile_stats, profile_logical),
                 similarity: stage_stats(feature_stats, feature_logical),
                 clustering: Default::default(),
-                peak_rss_bytes: crate::control::peak_rss_bytes().unwrap_or(0),
                 // Training featurizes explicit pairs; the pruned
                 // similarity engine (and its accounting) is a resolve
                 // concern.
@@ -854,7 +853,6 @@ impl Distinct {
                 profiles: stage_stats(profile_stats, profile_logical),
                 similarity: stage_stats(matrix_stats, similarity_logical),
                 clustering: stage_stats(cluster_stats, clustering_logical),
-                peak_rss_bytes: crate::control::peak_rss_bytes().unwrap_or(0),
                 pairs_total: pair_counters.total,
                 pairs_pruned: pair_counters.pruned,
                 pairs_exact: pair_counters.exact,

@@ -64,10 +64,6 @@ pub struct ExecReport {
     /// Clustering (tasks = candidate pairs seeded; wall covers the whole
     /// agglomeration including the sequential merge loop).
     pub clustering: StageStats,
-    /// Peak resident set size of the process in bytes when the run
-    /// finished (`/proc/self/status` VmHWM), `0` where unavailable.
-    /// Process-wide, so concurrent runs share one high-water mark.
-    pub peak_rss_bytes: u64,
     /// Similarity kernel units scheduled: one unit is one (unordered
     /// reference pair, join path) evaluation covering the pair's
     /// resemblance and both directed walks along that path. Equals
@@ -339,7 +335,6 @@ mod tests {
                 logical: 45,
             },
             clustering: StageStats::default(),
-            peak_rss_bytes: 0,
             pairs_total: 45,
             pairs_pruned: 25,
             pairs_exact: 20,

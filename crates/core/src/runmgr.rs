@@ -51,13 +51,13 @@
 //!   safe).
 
 use crate::checkpoint::{corrupt, Framing};
-use crate::control::{InterruptKind, RunControl};
+use crate::control::{InterruptKind, Progress, RunControl, Stage};
 use crate::pipeline::{Distinct, DistinctError, ResolveOutcome};
 use crate::refcluster::DistinctMerger;
 use crate::request::{ExecReport, ResolveRequest};
 use crate::update::{UpdateReport, UpdateTuple};
 use cluster::{Clustering, Dendrogram};
-use relstore::{fnv1a64, write_atomic, StdVfs, Vfs};
+use relstore::{fnv1a64, write_atomic, StdVfs, TupleRef, Vfs};
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
@@ -489,10 +489,7 @@ impl Distinct {
                 outcome: ResolveOutcome {
                     clustering,
                     degraded: None,
-                    exec: ExecReport {
-                        peak_rss_bytes: crate::control::peak_rss_bytes().unwrap_or(0),
-                        ..Default::default()
-                    },
+                    exec: ExecReport::default(),
                 },
                 run: report,
             });
@@ -600,6 +597,10 @@ impl Distinct {
     /// log is applied in chunks, and after each chunk every affected name
     /// is re-resolved and the chunk — report plus the
     /// affected names' partitions — is committed into the run directory.
+    /// The affected names are independent work items on the engine's
+    /// executor (the name fan-out of [`Distinct::resolve_all`]), each
+    /// resolved at one thread; their partitions commit in the report's
+    /// name order, so the chunks are identical at any thread count.
     /// Uses the real filesystem and default [`RunOptions`].
     ///
     /// **Resume** is the same call, same directory, on an engine prepared
@@ -620,7 +621,10 @@ impl Distinct {
     }
 
     /// [`Distinct::apply_update_stream`] through an explicit [`Vfs`] (the
-    /// fault-injectable entry point) with explicit [`RunOptions`].
+    /// fault-injectable entry point) with explicit [`RunOptions`]. The
+    /// stream runs under no limit; should a name's work item be refused
+    /// anyway, the call returns [`DistinctError::Interrupted`] before
+    /// committing that chunk.
     pub fn apply_update_stream_with(
         &mut self,
         updates: &[UpdateTuple],
@@ -704,13 +708,7 @@ impl Distinct {
             // commit the chunk, move on. A kill at any point loses at
             // most this one chunk of resolution work.
             let chunk_report = self.apply_updates(&updates[start..end])?;
-            let mut partitions: Vec<(String, Vec<usize>)> =
-                Vec::with_capacity(chunk_report.names.len());
-            for n in &chunk_report.names {
-                let refs = self.references_of(n);
-                let resolved = self.resolve(&ResolveRequest::new(&refs));
-                partitions.push((n.clone(), resolved.clustering.labels));
-            }
+            let partitions = self.resolve_affected(&chunk_report.names)?;
             let ck = UpdateChunkCk {
                 format: RUN_FORMAT_VERSION,
                 start,
@@ -734,6 +732,35 @@ impl Distinct {
             io_retries: retry.attempts,
         })
     }
+
+    /// A live stream chunk's partitions: every affected name, in the
+    /// chunk report's order, re-resolved through the name fan-out on the
+    /// engine's executor. The stream runs under no limit, so every name
+    /// resolves; a refused one would still be a typed error, never a
+    /// chunk committed without its partition.
+    fn resolve_affected(
+        &self,
+        names: &[String],
+    ) -> Result<Vec<(String, Vec<usize>)>, DistinctError> {
+        let refs: Vec<Vec<TupleRef>> = names.iter().map(|n| self.references_of(n)).collect();
+        let items: Vec<&[TupleRef]> = refs.iter().map(Vec::as_slice).collect();
+        let unlimited = RunControl::new();
+        let executor = self.executor_for(None);
+        let resolved = self.resolve_names(&items, &executor, &unlimited, &unlimited.shared_guard());
+        let mut partitions = Vec::with_capacity(names.len());
+        for (name, clustering) in names.iter().zip(resolved) {
+            let clustering = clustering.ok_or_else(|| DistinctError::Interrupted {
+                stage: Stage::Clustering,
+                kind: unlimited.status().unwrap_or(InterruptKind::Cancelled),
+                progress: Progress {
+                    done: partitions.len(),
+                    total: names.len(),
+                },
+            })?;
+            partitions.push((name.clone(), clustering.labels));
+        }
+        Ok(partitions)
+    }
 }
 
 #[cfg(test)]
@@ -742,7 +769,7 @@ mod tests {
     use crate::config::DistinctConfig;
     use crate::request::ResolveRequest;
     use datagen::{AmbiguousSpec, World, WorldConfig};
-    use relstore::{FaultPlan, FaultyVfs, TupleRef};
+    use relstore::{FaultPlan, FaultyVfs};
     use std::path::PathBuf;
 
     fn dataset() -> datagen::DblpDataset {

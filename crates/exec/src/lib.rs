@@ -2,8 +2,9 @@
 //!
 //! A small, dependency-free scoped thread pool (`std::thread` + channels)
 //! for the pipeline's embarrassingly parallel stages: per-reference
-//! probability propagation, the O(n²) pairwise similarity matrix, and
-//! training-set feature extraction.
+//! probability propagation, the O(n²) pairwise similarity matrix,
+//! training-set feature extraction, and the per-name fan-out of a
+//! whole-catalog pass or an update stream.
 //!
 //! The design constraint is **determinism**: clustering output must be
 //! bit-identical regardless of thread count. Every primitive here follows
@@ -12,7 +13,9 @@
 //! 1. the work is split into fixed index ranges (*chunks*) whose
 //!    boundaries depend only on the input length — never on timing;
 //! 2. workers claim chunks in any order from a shared atomic counter and
-//!    compute results into chunk-local buffers;
+//!    compute results into chunk-local buffers. A call at `t` threads
+//!    spawns `t − 1` scoped helpers; the calling thread runs the same
+//!    claim loop as worker 0 instead of waiting idle;
 //! 3. results are **committed in index order** by the caller's thread
 //!    after all workers finish (*ordered reduction*).
 //!
@@ -57,7 +60,8 @@ pub struct ParStats {
     pub tasks: usize,
     /// Items that produced a result (equals `tasks` for complete runs).
     pub completed: usize,
-    /// Worker threads used (1 = inline on the calling thread).
+    /// Worker threads used, the calling thread included (1 = inline on
+    /// the calling thread; `t` = the caller plus `t − 1` spawned helpers).
     pub threads: usize,
     /// Wall-clock time of the stage.
     pub wall: Duration,
@@ -81,9 +85,10 @@ impl ParStats {
 
 /// A deterministic parallel executor.
 ///
-/// Cheap to copy; owns no threads between calls — each parallel primitive
-/// spawns scoped workers for its own duration, so borrowed inputs need no
-/// `'static` bound and a dropped executor leaks nothing.
+/// Cheap to copy; owns no threads between calls. A parallel primitive at
+/// `t` threads spawns `t − 1` scoped helpers for its own duration and
+/// works as the `t`-th itself, so borrowed inputs need no `'static`
+/// bound and a dropped executor leaks nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Executor {
     threads: usize,
@@ -191,45 +196,20 @@ impl Executor {
                 }
             }
         } else {
+            // The chunk-claim loop of `par_chunks`, one chunk of items per
+            // claim; its ranges come back in ascending order.
+            let (chunks, chunk_stats) = self.par_chunks(
+                n,
+                |range| range.map(|i| f(i, &items[i])).collect::<Vec<_>>(),
+                &stop,
+            );
             out.resize_with(n, || None);
-            let chunk = self.chunk_len(n);
-            let n_chunks = n.div_ceil(chunk);
-            let next = AtomicUsize::new(0);
-            let stop_flag = AtomicBool::new(false);
-            let (tx, rx) = mpsc::channel::<(usize, Vec<Option<T>>)>();
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    let tx = tx.clone();
-                    let (next, stop_flag, f, stop) = (&next, &stop_flag, &f, &stop);
-                    scope.spawn(move || loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        if c >= n_chunks {
-                            return;
-                        }
-                        if stop_flag.load(Ordering::Relaxed) || stop() {
-                            stop_flag.store(true, Ordering::Relaxed);
-                            return;
-                        }
-                        let lo = c * chunk;
-                        let hi = (lo + chunk).min(n);
-                        let local: Vec<Option<T>> = (lo..hi).map(|i| f(i, &items[i])).collect();
-                        // A send only fails if the receiver is gone, which
-                        // cannot happen while the scope is open.
-                        let _ = tx.send((lo, local));
-                    });
+            for (range, local) in chunks {
+                for (i, v) in range.zip(local) {
+                    out[i] = v;
                 }
-                drop(tx);
-                // Ordered reduction: buffer chunk results as they arrive,
-                // then commit below in ascending index order.
-                let mut buffered: Vec<(usize, Vec<Option<T>>)> = rx.iter().collect();
-                buffered.sort_unstable_by_key(|&(lo, _)| lo);
-                for (lo, local) in buffered {
-                    for (off, v) in local.into_iter().enumerate() {
-                        out[lo + off] = v;
-                    }
-                }
-            });
-            stopped = stop_flag.load(Ordering::Relaxed);
+            }
+            stopped = chunk_stats.stopped;
         }
         let completed = out.iter().filter(|v| v.is_some()).count();
         let stats = ParStats {
@@ -291,25 +271,27 @@ impl Executor {
             let next = AtomicUsize::new(0);
             let stop_flag = AtomicBool::new(false);
             let (tx, rx) = mpsc::channel::<(Range<usize>, T)>();
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    let tx = tx.clone();
-                    let (next, stop_flag, f, stop) = (&next, &stop_flag, &f, &stop);
-                    scope.spawn(move || loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        if c >= n_chunks {
-                            return;
-                        }
-                        if stop_flag.load(Ordering::Relaxed) || stop() {
-                            stop_flag.store(true, Ordering::Relaxed);
-                            return;
-                        }
-                        let range = c * chunk..((c + 1) * chunk).min(total);
-                        let value = f(range.clone());
-                        let _ = tx.send((range, value));
-                    });
+            // The chunk-claim loop of one worker: `threads - 1` scoped
+            // helpers run it, and so does the calling thread, as worker 0.
+            let work = |tx: mpsc::Sender<(Range<usize>, T)>| loop {
+                let c = next.fetch_add(1, Ordering::Relaxed);
+                if c >= n_chunks {
+                    return;
                 }
-                drop(tx);
+                if stop_flag.load(Ordering::Relaxed) || stop() {
+                    stop_flag.store(true, Ordering::Relaxed);
+                    return;
+                }
+                let range = c * chunk..((c + 1) * chunk).min(total);
+                let value = f(range.clone());
+                let _ = tx.send((range, value));
+            };
+            std::thread::scope(|scope| {
+                for _ in 1..threads {
+                    let tx = tx.clone();
+                    scope.spawn(move || work(tx));
+                }
+                work(tx);
                 results.extend(rx.iter());
             });
             results.sort_unstable_by_key(|(r, _)| r.start);
@@ -519,6 +501,39 @@ mod tests {
                 }
                 assert_eq!(expect, total);
             }
+        }
+    }
+
+    #[test]
+    fn the_calling_thread_is_a_worker() {
+        use std::collections::HashSet;
+        use std::sync::Barrier;
+        use std::thread::ThreadId;
+        // `t` items at `t` threads make `t` one-item chunks. Each item
+        // waits until `t` items are running at once, so `t` distinct
+        // threads run them, and with `t - 1` helpers one must be the
+        // caller.
+        for t in [2usize, 4] {
+            let exec = Executor::with_threads(t);
+            let caller = std::thread::current().id();
+            let barrier = Barrier::new(t);
+            let run = || {
+                barrier.wait();
+                std::thread::current().id()
+            };
+
+            let items: Vec<usize> = (0..t).collect();
+            let (out, stats) = exec.par_map_guarded(&items, |_, _| Some(run()), || false);
+            assert_eq!((stats.completed, stats.threads), (t, t));
+            let ids: HashSet<ThreadId> = out.into_iter().flatten().collect();
+            assert_eq!(ids.len(), t, "par_map_guarded, t = {t}");
+            assert!(ids.contains(&caller), "par_map_guarded, t = {t}");
+
+            let (chunks, stats) = exec.par_chunks(t, |_| run(), || false);
+            assert_eq!((stats.completed, stats.threads), (t, t));
+            let ids: HashSet<ThreadId> = chunks.into_iter().map(|(_, id)| id).collect();
+            assert_eq!(ids.len(), t, "par_chunks, t = {t}");
+            assert!(ids.contains(&caller), "par_chunks, t = {t}");
         }
     }
 

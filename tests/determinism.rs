@@ -5,8 +5,8 @@
 
 use datagen::{to_catalog, AmbiguousSpec, World, WorldConfig};
 use distinct::{
-    Distinct, DistinctConfig, LearnedModel, ResolveRequest, RunControl, Stage, TrainRequest,
-    TrainingConfig,
+    Distinct, DistinctConfig, LearnedModel, ResolveRequest, RunControl, RunOptions, Stage,
+    TrainRequest, TrainingConfig, UpdateTuple,
 };
 
 fn dataset() -> datagen::DblpDataset {
@@ -299,4 +299,78 @@ fn degraded_runs_never_poison_later_complete_runs() {
     assert!(recovered.is_complete());
     let fresh = engine(&d).resolve(&ResolveRequest::new(&refs));
     assert_eq!(recovered.clustering.labels, fresh.clustering.labels);
+}
+
+/// The update stream re-resolves each chunk's affected names as work items
+/// on the engine's executor, so what it commits must not depend on the
+/// configured thread count: one log of one-paper batches, in chunks of a
+/// few tuples, gives equal outcomes and byte-identical `updates-*.ck`
+/// files at 1, 2 and 8 threads.
+#[test]
+fn update_stream_commits_are_identical_at_1_2_and_8_threads() {
+    let mut config = WorldConfig::tiny(7);
+    config.ambiguous = vec![AmbiguousSpec::new("Wei Wang", vec![10, 8, 5])];
+    let stream = datagen::update_stream(&config, 0.1, 5).expect("valid split");
+    // The first four held-out papers: each is its Publications row, then
+    // its bylines.
+    let mut papers = 0;
+    let updates: Vec<UpdateTuple> = stream
+        .log
+        .iter()
+        .take_while(|(relation, _)| {
+            papers += usize::from(relation == "Publications");
+            papers <= 4
+        })
+        .map(|(relation, values)| UpdateTuple::new(relation.clone(), values.clone()))
+        .collect();
+    let opts = RunOptions {
+        chunk_size: 3,
+        ..Default::default()
+    };
+    let run = |threads: usize| {
+        let dir = std::env::temp_dir().join(format!(
+            "distinct_determinism_stream_{threads}_{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = DistinctConfig {
+            threads,
+            ..Default::default()
+        };
+        let outcome = Distinct::prepare(&stream.base.catalog, "Publish", "author", config)
+            .unwrap()
+            .apply_update_stream_with(&updates, &dir, &mut relstore::StdVfs, &opts)
+            .expect("update stream");
+        let mut chunks: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with("updates-"))
+            .map(|name| {
+                let bytes = std::fs::read(dir.join(&name)).unwrap();
+                (name, bytes)
+            })
+            .collect();
+        chunks.sort();
+        let _ = std::fs::remove_dir_all(&dir);
+        (outcome, chunks)
+    };
+
+    let (serial, serial_chunks) = run(1);
+    assert_eq!(serial.report.applied, updates.len());
+    assert_eq!(serial_chunks.len(), serial.chunks_committed);
+    assert!(
+        serial.chunks_committed >= 4,
+        "too few chunks: {}",
+        serial.chunks_committed
+    );
+    assert!(
+        serial.partitions.len() > 2 * serial.chunks_committed,
+        "the chunks must affect several names each: {} names",
+        serial.partitions.len()
+    );
+    for threads in [2, 8] {
+        let (outcome, chunks) = run(threads);
+        assert_eq!(outcome, serial, "threads = {threads}");
+        assert_eq!(chunks, serial_chunks, "threads = {threads}");
+    }
 }
